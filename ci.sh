@@ -19,7 +19,9 @@
 #                  races need soak time the tier-1 defaults don't give
 #   doctest        llx-scx doctests
 #   examples       example builds
-#   benches        criterion bench builds
+#   perfbench      builds the benchmark binary (perfbench/, outside the
+#                  workspace) against the current crates and runs its
+#                  histogram and generator unit tests
 #   scanwin        windowed scan cursors under churn: a release leg
 #                  running the long windowed-scan stress/cursor tests
 #                  (per-window conservation laws checked mid-churn) and
@@ -97,7 +99,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test pool-off debug-stress scanwin shard bg-reclaim doctest examples benches compare-smoke latency serve chaos lin-long bench-diff model audit clippy)
+ALL_STAGES=(fmt build test pool-off debug-stress scanwin shard bg-reclaim doctest examples perfbench compare-smoke latency serve chaos lin-long bench-diff model audit clippy)
 QUICK_STAGES=(fmt build test)
 
 QUICK=0
@@ -258,8 +260,11 @@ stage_examples() {
     cargo build --examples
 }
 
-stage_benches() {
-    cargo build -p bench --benches
+stage_perfbench() {
+    # perfbench is a package of its own outside the workspace: build it
+    # against the current crates and run its unit tests, so an API
+    # change cannot silently break `python3 perfbench/run.py`.
+    cargo test --release --locked --manifest-path perfbench/Cargo.toml
 }
 
 stage_compare_smoke() {
@@ -541,7 +546,7 @@ run_stage shard stage_shard
 run_stage bg-reclaim stage_bg_reclaim
 run_stage doctest stage_doctest
 run_stage examples stage_examples
-run_stage benches stage_benches
+run_stage perfbench stage_perfbench
 run_stage compare-smoke stage_compare_smoke
 run_stage latency stage_latency
 run_stage serve stage_serve

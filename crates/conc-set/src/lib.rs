@@ -69,7 +69,7 @@ pub mod sharded;
 pub mod spec;
 pub mod stress;
 
-pub use scan::{ScanConsistency, ScanCursor, ScanIter, ScanOpts, ScanStats, ScanStep};
+pub use scan::{ScanCursor, ScanIter, ScanOpts, ScanStats, ScanStep};
 pub use sharded::ShardedSet;
 pub use spec::{selected_specs, SpecError, StructureSpec};
 
@@ -255,11 +255,6 @@ pub trait ConcurrentOrderedSet: Send + Sync {
     /// [`fold_range_windowed`](ConcurrentOrderedSet::fold_range_windowed)
     /// bounds. Never blocks writers. `lo > hi` denotes the empty range
     /// and calls `f` zero times.
-    ///
-    /// The in-repo implementations override this default with their
-    /// equivalent inherent whole-range loops, skipping the
-    /// boxed-cursor allocations on the atomic hot path; the semantics
-    /// are identical.
     fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
         let mut cursor = self.scan(lo, hi, ScanOpts::atomic());
         while cursor.next_window(f) != ScanStep::Done {}
@@ -486,15 +481,9 @@ impl ConcurrentOrderedSet for multiset::Multiset<u64> {
     fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
         // VLX-validated chain windows (paper §3); see
         // `Multiset::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            multiset::Multiset::try_scan_window(self, from, hi, max)
+        scan::cursor(lo, hi, opts, move |from, hi, max, emit| {
+            multiset::Multiset::try_scan_window(self, from, hi, max, emit)
         })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        // Same semantics as the provided cursor-driven default; the
-        // inherent whole-range loop skips the boxed-cursor allocations
-        // on the atomic hot path.
-        multiset::Multiset::fold_range(self, lo, hi, (), |(), k, c| f(k, c));
     }
     fn validate_structure(&self) -> Result<(), String> {
         self.check_invariants()
@@ -531,12 +520,9 @@ impl ConcurrentOrderedSet for mwcas::KcasMultiset {
     fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
         // Identity-kCAS-validated windows; see
         // `KcasMultiset::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            mwcas::KcasMultiset::try_scan_window(self, from, hi, max)
+        scan::cursor(lo, hi, opts, move |from, hi, max, emit| {
+            mwcas::KcasMultiset::try_scan_window(self, from, hi, max, emit)
         })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        mwcas::KcasMultiset::fold_range(self, lo, hi, (), |(), k, c| f(k, c));
     }
 }
 
@@ -568,14 +554,11 @@ impl ConcurrentOrderedSet for lockbased::CoarseMultiset<u64> {
         lockbased::CoarseMultiset::len(self)
     }
     fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
-        // Each window reads under the structure's single mutex; never
+        // Each window emits under the structure's single mutex; never
         // retries.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            lockbased::CoarseMultiset::try_scan_window(self, from, hi, max)
+        scan::cursor(lo, hi, opts, move |from, hi, max, emit| {
+            Some(self.scan_window(from, hi, max, |k, c| emit(*k, c)))
         })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        lockbased::CoarseMultiset::fold_range(self, lo, hi, (), |(), k, c| f(*k, c));
     }
 }
 
@@ -608,13 +591,10 @@ impl ConcurrentOrderedSet for lockbased::HandOverHandMultiset<u64> {
     }
     fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
         // Window lock-crabbing (bounded lock span per window); see
-        // `HandOverHandMultiset::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            lockbased::HandOverHandMultiset::try_scan_window(self, from, hi, max)
+        // `HandOverHandMultiset::scan_window`.
+        scan::cursor(lo, hi, opts, move |from, hi, max, emit| {
+            Some(self.scan_window(from, hi, max, emit))
         })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        lockbased::HandOverHandMultiset::fold_range(self, lo, hi, (), |(), k, c| f(k, c));
     }
 }
 
@@ -642,13 +622,11 @@ impl ConcurrentOrderedSet for trees::Bst<u64, u64> {
     }
     fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
         // VLX-validated windowed in-order walk; see
-        // `Bst::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            trees::Bst::try_scan_window(self, from, hi, max)
+        // `Bst::try_scan_window`. Distinct semantics: every present key
+        // counts once.
+        scan::cursor(lo, hi, opts, move |from, hi, max, emit| {
+            trees::Bst::try_scan_window(self, from, hi, max, |k, _v| emit(k, 1))
         })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        trees::Bst::fold_range(self, lo, hi, (), |(), k, _v| f(k, 1));
     }
     fn validate_structure(&self) -> Result<(), String> {
         self.check_invariants()
@@ -679,13 +657,11 @@ impl ConcurrentOrderedSet for trees::ChromaticTree<u64, u64> {
     }
     fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
         // VLX-validated windowed in-order walk; see
-        // `ChromaticTree::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            trees::ChromaticTree::try_scan_window(self, from, hi, max)
+        // `ChromaticTree::try_scan_window`. Distinct semantics: every
+        // present key counts once.
+        scan::cursor(lo, hi, opts, move |from, hi, max, emit| {
+            trees::ChromaticTree::try_scan_window(self, from, hi, max, |k, _v| emit(k, 1))
         })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        trees::ChromaticTree::fold_range(self, lo, hi, (), |(), k, _v| f(k, 1));
     }
     fn validate_structure(&self) -> Result<(), String> {
         self.check_invariants()?;
@@ -717,13 +693,11 @@ impl ConcurrentOrderedSet for trees::PatriciaTrie<u64> {
     }
     fn scan(&self, lo: u64, hi: u64, opts: ScanOpts) -> Box<dyn ScanCursor + '_> {
         // Prefix-pruned, VLX-validated windowed walk; see
-        // `PatriciaTrie::try_scan_window`.
-        scan::cursor_over(lo, hi, opts, move |from, hi, max| {
-            trees::PatriciaTrie::try_scan_window(self, from, hi, max)
+        // `PatriciaTrie::try_scan_window`. Distinct semantics: every
+        // present key counts once.
+        scan::cursor(lo, hi, opts, move |from, hi, max, emit| {
+            trees::PatriciaTrie::try_scan_window(self, from, hi, max, |k, _v| emit(k, 1))
         })
-    }
-    fn fold_range(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, u64)) {
-        trees::PatriciaTrie::fold_range(self, lo, hi, (), |(), k, _v| f(k, 1));
     }
     fn validate_structure(&self) -> Result<(), String> {
         self.check_invariants()

@@ -32,29 +32,16 @@
 
 use std::fmt;
 
-/// Consistency tier of a scan (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanConsistency {
-    /// The whole range is validated as a single snapshot; the scan has
-    /// one linearization point. The `window` option is ignored (it is
-    /// effectively `∞`).
-    Atomic,
-    /// Each window is validated independently; every window has its
-    /// own linearization point, in increasing key order.
-    PerWindow,
-}
-
-/// Options of [`ConcurrentOrderedSet::scan`](crate::ConcurrentOrderedSet::scan).
+/// Options of [`ConcurrentOrderedSet::scan`](crate::ConcurrentOrderedSet::scan):
+/// the per-window key budget, which is also the consistency tier.
 ///
-/// Build with [`ScanOpts::atomic`] or [`ScanOpts::windowed`]; the
-/// fields are public so options can also be written literally.
+/// Build with [`ScanOpts::atomic`] (one window over the whole range)
+/// or [`ScanOpts::windowed`] (windows of at most `w` keys).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOpts {
-    /// Maximum keys emitted (and validated) per window; `None` means
-    /// unbounded. Ignored under [`ScanConsistency::Atomic`].
-    pub window: Option<u64>,
-    /// The consistency tier.
-    pub consistency: ScanConsistency,
+    /// Maximum keys emitted (and validated) per window; `None` makes
+    /// the whole range one window. Never `Some(0)`.
+    window: Option<u64>,
 }
 
 impl ScanOpts {
@@ -62,10 +49,7 @@ impl ScanOpts {
     /// identical semantics to
     /// [`fold_range`](crate::ConcurrentOrderedSet::fold_range).
     pub fn atomic() -> Self {
-        ScanOpts {
-            window: None,
-            consistency: ScanConsistency::Atomic,
-        }
+        ScanOpts { window: None }
     }
 
     /// Per-window consistency with at most `window` keys per validated
@@ -78,16 +62,13 @@ impl ScanOpts {
         assert!(window > 0, "a scan window covers at least one key");
         ScanOpts {
             window: Some(window),
-            consistency: ScanConsistency::PerWindow,
         }
     }
 
-    /// The per-attempt key budget this option set implies.
+    /// The per-attempt key budget.
     pub(crate) fn max_keys(&self) -> usize {
-        match (self.consistency, self.window) {
-            (ScanConsistency::Atomic, _) | (ScanConsistency::PerWindow, None) => usize::MAX,
-            (ScanConsistency::PerWindow, Some(w)) => usize::try_from(w).unwrap_or(usize::MAX),
-        }
+        self.window
+            .map_or(usize::MAX, |w| usize::try_from(w).unwrap_or(usize::MAX))
     }
 }
 
@@ -262,24 +243,24 @@ pub struct ScanStats {
     pub retries: u64,
 }
 
-/// One window-collection attempt: `(from, hi, max_keys, emit)` →
-/// `Some((covered_hi, end))` when the window validated (pairs already
-/// emitted), `None` on conflict.
-type Attempt<'a> = dyn FnMut(u64, u64, usize, &mut dyn FnMut(u64, u64)) -> Option<(u64, bool)> + 'a;
-
 /// The one cursor implementation behind every structure: generic over
-/// the structure's single-attempt window collector.
-struct WindowCursor<'a> {
+/// the structure's single-attempt window collector `attempt(from, hi,
+/// max_keys, emit)`, which emits a validated window's pairs and
+/// returns `Some((covered_hi, end))`, or returns `None` on conflict.
+struct WindowCursor<A> {
     from: u64,
     hi: u64,
     max_keys: usize,
     done: bool,
     windows: u64,
     retries: u64,
-    attempt: Box<Attempt<'a>>,
+    attempt: A,
 }
 
-impl ScanCursor for WindowCursor<'_> {
+impl<A> ScanCursor for WindowCursor<A>
+where
+    A: FnMut(u64, u64, usize, &mut dyn FnMut(u64, u64)) -> Option<(u64, bool)>,
+{
     fn next_window(&mut self, emit: &mut dyn FnMut(u64, u64)) -> ScanStep {
         if self.done {
             return ScanStep::Done;
@@ -316,6 +297,7 @@ impl ScanCursor for WindowCursor<'_> {
 
 /// Build the uniform cursor from a structure's single-attempt window
 /// collector (the glue every `ConcurrentOrderedSet::scan` impl uses).
+/// The attempt only ever sees `from <= hi`.
 pub(crate) fn cursor<'a>(
     lo: u64,
     hi: u64,
@@ -329,82 +311,7 @@ pub(crate) fn cursor<'a>(
         done: lo > hi,
         windows: 0,
         retries: 0,
-        attempt: Box::new(attempt),
-    })
-}
-
-/// The one shape every structure's `try_scan_window` result shares, so
-/// the seven `ConcurrentOrderedSet::scan` impls reduce to a
-/// [`cursor_over`] call instead of seven hand-rolled adapter closures.
-pub(crate) trait WindowLike {
-    /// Feed the window's `(key, occurrences)` pairs to `emit`,
-    /// ascending.
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64));
-    /// `(covered_hi, end)` — the certified interval's upper bound and
-    /// whether the range is exhausted.
-    fn coverage(&self) -> (u64, bool);
-}
-
-impl WindowLike for multiset::ScanWindow<u64> {
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for &(k, c) in &self.pairs {
-            emit(k, c);
-        }
-    }
-    fn coverage(&self) -> (u64, bool) {
-        (self.covered_hi, self.end)
-    }
-}
-
-impl WindowLike for mwcas::ScanWindow {
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for &(k, c) in &self.pairs {
-            emit(k, c);
-        }
-    }
-    fn coverage(&self) -> (u64, bool) {
-        (self.covered_hi, self.end)
-    }
-}
-
-impl WindowLike for lockbased::ScanWindow<u64> {
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for &(k, c) in &self.pairs {
-            emit(k, c);
-        }
-    }
-    fn coverage(&self) -> (u64, bool) {
-        (self.covered_hi, self.end)
-    }
-}
-
-/// Distinct-semantics trees: every present key counts once, values are
-/// not occurrences.
-impl<V> WindowLike for trees::ScanWindow<u64, V> {
-    fn emit_into(&self, emit: &mut dyn FnMut(u64, u64)) {
-        for &(k, _) in &self.pairs {
-            emit(k, 1);
-        }
-    }
-    fn coverage(&self) -> (u64, bool) {
-        (self.covered_hi, self.end)
-    }
-}
-
-/// [`cursor`] specialized to a `try_scan_window`-shaped attempt: the
-/// structure supplies `(from, hi, max) -> Option<Window>`, this glue
-/// does the emit/coverage plumbing once for the whole zoo.
-pub(crate) fn cursor_over<'a, W: WindowLike>(
-    lo: u64,
-    hi: u64,
-    opts: ScanOpts,
-    mut attempt: impl FnMut(u64, u64, usize) -> Option<W> + 'a,
-) -> Box<dyn ScanCursor + 'a> {
-    cursor(lo, hi, opts, move |from, hi, max, emit| {
-        attempt(from, hi, max).map(|w| {
-            w.emit_into(emit);
-            w.coverage()
-        })
+        attempt,
     })
 }
 
@@ -413,14 +320,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn atomic_opts_ignore_window() {
-        assert_eq!(ScanOpts::atomic().max_keys(), usize::MAX);
-        let o = ScanOpts {
-            window: Some(4),
-            consistency: ScanConsistency::Atomic,
+    fn atomic_scan_is_one_window_per_structure_or_touched_shard() {
+        use crate::{ConcurrentOrderedSet, ShardedSet, StructureSpec};
+        // Drive an atomic cursor to Done: (keys, windows, retries).
+        let drive = |set: &dyn ConcurrentOrderedSet, lo, hi| {
+            let mut c = set.scan(lo, hi, ScanOpts::atomic());
+            let mut keys = Vec::new();
+            while c.next_window(&mut |k, _| keys.push(k)) != ScanStep::Done {}
+            (keys, c.windows(), c.retries())
         };
-        assert_eq!(o.max_keys(), usize::MAX);
-        assert_eq!(ScanOpts::windowed(4).max_keys(), 4);
+        for factory in crate::all_factories() {
+            let set = factory();
+            let name = set.name();
+            // Shards [0, 511] and [512, MAX_KEY].
+            let spec = StructureSpec::parse(name).expect("registry name parses");
+            let sharded = ShardedSet::with_domain(&spec, 2, 1024);
+            for k in [3u64, 8, 600] {
+                set.insert(k, 1);
+                sharded.insert(k, 1);
+            }
+            assert_eq!(drive(&*set, 0, 700), (vec![3, 8, 600], 1, 0), "{name}");
+            assert_eq!(drive(&*set, 9, 599), (vec![], 1, 0), "{name}: empty");
+            assert_eq!(drive(&*set, 9, 3), (vec![], 0, 0), "{name}: lo > hi");
+            assert_eq!(drive(&sharded, 0, 700), (vec![3, 8, 600], 2, 0), "{name}");
+            assert_eq!(drive(&sharded, 0, 100), (vec![3, 8], 1, 0), "{name}");
+            assert_eq!(drive(&sharded, 9, 3), (vec![], 0, 0), "{name}");
+        }
     }
 
     #[test]

@@ -120,61 +120,45 @@ impl<K: Ord + Copy> HandOverHandMultiset<K> {
         }
     }
 
-    /// Fold over the `(key, count)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending, over a **consistent snapshot**.
-    ///
-    /// Lock-coupling alone cannot give a linearizable range scan (an
-    /// insert behind the cursor plus one ahead of it would be observed
-    /// inconsistently), so the scan escalates from coupling to *range
-    /// crabbing*: it couples up to the predecessor of `lo`, then keeps
-    /// every lock from there through the first node beyond `hi`. With
-    /// all of those locks held the range is frozen — the snapshot's
-    /// linearization point is the moment the last lock is acquired.
-    /// Deadlock-free because all operations acquire locks in key order.
-    /// `lo > hi` folds nothing.
-    pub fn fold_range<A, F: FnMut(A, K, u64) -> A>(&self, lo: K, hi: K, init: A, mut f: F) -> A {
-        // The whole range as one window: a full-range crab.
-        let window = self
-            .try_scan_window(lo, hi, usize::MAX)
-            .expect("lock-based windows never conflict");
-        window
-            .pairs
-            .into_iter()
-            .fold(init, |acc, (k, c)| f(acc, k, c))
-    }
-
     /// One scan window: hand-over-hand to the predecessor of `from`
     /// (holding at most two locks), then *crab* — keep every lock —
     /// over up to `max_keys` in-range nodes plus the window's
-    /// terminator. With all of those locks held the window is frozen;
-    /// its linearization point is the moment the last lock is
-    /// acquired, and the locks are released when the window returns.
+    /// terminator, emitting each `(key, count)` pair, ascending, while
+    /// its lock is held. Returns `(covered_hi, end)`: `covered_hi` is
+    /// `hi` when the range is exhausted (`end`), else the last emitted
+    /// key. `emit` runs under the window's locks, so it must not call
+    /// back into this multiset.
+    ///
+    /// Lock-coupling alone cannot give a linearizable range scan (an
+    /// insert behind the cursor plus one ahead of it would be observed
+    /// inconsistently), hence the crabbing: with all of the window's
+    /// locks held the window is frozen; its linearization point is the
+    /// moment the last lock is acquired, and no emitted pair can change
+    /// before then. The locks are released when the window returns.
     /// Between windows the scan holds **no** locks, so writers
     /// interleave freely at window boundaries — the bounded lock span
     /// is the lock-based analogue of the optimistic structures'
-    /// bounded validation window. Always `Some` (lock acquisition
-    /// cannot conflict); deadlock-free because all operations acquire
-    /// locks in key order.
+    /// bounded validation window, and `max_keys = usize::MAX` is the
+    /// whole-range atomic scan. Never conflicts; deadlock-free because
+    /// all operations acquire locks in key order.
     ///
     /// # Panics
     ///
     /// Panics if `max_keys == 0`.
-    pub fn try_scan_window(&self, from: K, hi: K, max_keys: usize) -> Option<crate::ScanWindow<K>> {
+    pub fn scan_window(
+        &self,
+        from: K,
+        hi: K,
+        max_keys: usize,
+        mut emit: impl FnMut(K, u64),
+    ) -> (K, bool) {
         assert!(max_keys > 0, "a scan window covers at least one key");
-        let empty = |end| crate::ScanWindow {
-            pairs: Vec::new(),
-            covered_hi: hi,
-            end,
-        };
-        if from > hi {
-            return Some(empty(true));
-        }
         // Phase 1: hand-over-hand to the predecessor of `from`, holding
         // at most two locks.
         let mut prev: NodeGuard<K> = Mutex::lock_arc(&self.head);
         loop {
             let Some(next_arc) = prev.next.clone() else {
-                return Some(empty(true)); // every key is below `from`
+                return (hi, true); // every key is below `from`
             };
             let next: NodeGuard<K> = Mutex::lock_arc(&next_arc);
             match next.key {
@@ -182,45 +166,28 @@ impl<K: Ord + Copy> HandOverHandMultiset<K> {
                 _ => {
                     // Phase 2: crab over the window, keeping all locks.
                     let mut held: Vec<NodeGuard<K>> = vec![prev, next];
-                    let mut pairs: Vec<(K, u64)> = Vec::new();
-                    let mut end = true;
+                    let mut emitted = 0usize;
                     loop {
                         let last = held.last().expect("non-empty");
                         match last.key {
                             Some(k) if k <= hi => {
-                                pairs.push((k, last.count));
-                                if pairs.len() >= max_keys {
-                                    end = false;
-                                    break;
+                                emit(k, last.count);
+                                emitted += 1;
+                                if emitted >= max_keys {
+                                    return (k, false);
                                 }
                             }
-                            _ => break, // first node beyond the range
+                            _ => return (hi, true), // first node beyond the range
                         }
                         let Some(next_arc) = last.next.clone() else {
-                            break; // range runs to the end of the list
+                            return (hi, true); // range runs to the end of the list
                         };
                         let g = Mutex::lock_arc(&next_arc);
                         held.push(g);
                     }
-                    let covered_hi = if end {
-                        hi
-                    } else {
-                        pairs.last().expect("a capped window is non-empty").0
-                    };
-                    return Some(crate::ScanWindow {
-                        pairs,
-                        covered_hi,
-                        end,
-                    });
                 }
             }
         }
-    }
-
-    /// Total occurrences with keys in `[lo, hi]` at a single
-    /// linearization point. See [`HandOverHandMultiset::fold_range`].
-    pub fn range_count(&self, lo: K, hi: K) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _k, c| acc + c)
     }
 
     /// Collect `(key, count)` pairs in ascending key order.

@@ -24,25 +24,6 @@ use std::fmt;
 
 use parking_lot::Mutex;
 
-/// One validated scan window over a lock-based multiset: the exact
-/// `(key, count)` contents of `[from, covered_hi]` while the window's
-/// locks were held. Lock-based windows never conflict — the
-/// `try_scan_window` methods always return `Some` — but share the same
-/// shape as the optimistic structures' windows so the `conc-set` scan
-/// cursor drives the whole zoo uniformly.
-#[derive(Debug, Clone)]
-pub struct ScanWindow<K> {
-    /// `(key, count)` pairs in ascending key order.
-    pub pairs: Vec<(K, u64)>,
-    /// Inclusive upper bound of the interval this window certifies:
-    /// the requested `hi` when the walk exhausted the range, else the
-    /// last collected key (the window hit its key budget).
-    pub covered_hi: K,
-    /// Whether the walk exhausted the range — `true` means the scan is
-    /// complete, `false` means resume from `covered_hi + 1`.
-    pub end: bool,
-}
-
 /// A multiset behind a single mutex (sequential specification of paper
 /// §5, coarse-grained locking).
 pub struct CoarseMultiset<K> {
@@ -109,68 +90,37 @@ impl<K: Ord> CoarseMultiset<K> {
         self.inner.lock().is_empty()
     }
 
-    /// Fold over the `(key, count)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending. Atomic by construction: the fold
-    /// runs under the structure's single mutex. `lo > hi` folds
-    /// nothing.
-    pub fn fold_range<A, F: FnMut(A, &K, u64) -> A>(&self, lo: K, hi: K, init: A, mut f: F) -> A {
-        if lo > hi {
-            return init;
-        }
-        self.inner
-            .lock()
-            .range(lo..=hi)
-            .fold(init, |acc, (k, &c)| f(acc, k, c))
-    }
-
-    /// Total occurrences with keys in `[lo, hi]`, atomically.
-    pub fn range_count(&self, lo: K, hi: K) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _k, c| acc + c)
-    }
-
-    /// One scan window: up to `max_keys` `(key, count)` pairs of
-    /// `[from, hi]`, read under the structure's single mutex (trivially
-    /// consistent; always `Some`). See [`ScanWindow`].
+    /// One scan window: emit up to `max_keys` `(key, count)` pairs of
+    /// `[from, hi]`, ascending, while holding the structure's single
+    /// mutex (trivially consistent; never conflicts). Returns
+    /// `(covered_hi, end)`: `covered_hi` is `hi` when the range is
+    /// exhausted (`end`), else the last emitted key. `emit` runs under
+    /// the lock, so it must not call back into this multiset.
     ///
     /// # Panics
     ///
-    /// Panics if `max_keys == 0`.
-    pub fn try_scan_window(&self, from: K, hi: K, max_keys: usize) -> Option<ScanWindow<K>>
+    /// Panics if `max_keys == 0` or `from > hi`.
+    pub fn scan_window(
+        &self,
+        from: K,
+        hi: K,
+        max_keys: usize,
+        mut emit: impl FnMut(&K, u64),
+    ) -> (K, bool)
     where
         K: Clone,
     {
         assert!(max_keys > 0, "a scan window covers at least one key");
-        if from > hi {
-            return Some(ScanWindow {
-                pairs: Vec::new(),
-                covered_hi: hi,
-                end: true,
-            });
-        }
         let map = self.inner.lock();
-        let mut pairs: Vec<(K, u64)> = Vec::new();
-        let mut end = true;
+        let mut emitted = 0usize;
         for (k, &c) in map.range(from..=hi.clone()) {
-            pairs.push((k.clone(), c));
-            if pairs.len() >= max_keys {
-                end = false;
-                break;
+            emit(k, c);
+            emitted += 1;
+            if emitted >= max_keys {
+                return (k.clone(), false);
             }
         }
-        let covered_hi = if end {
-            hi
-        } else {
-            pairs
-                .last()
-                .expect("a capped window is non-empty")
-                .0
-                .clone()
-        };
-        Some(ScanWindow {
-            pairs,
-            covered_hi,
-            end,
-        })
+        (hi, true)
     }
 
     /// Collect `(key, count)` pairs in ascending key order.

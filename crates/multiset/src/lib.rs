@@ -48,22 +48,6 @@ const NEXT: usize = 1;
 
 type Node<K> = DataRecord<2, SentinelKey<K>>;
 
-/// One validated scan window (see [`Multiset::try_scan_window`]): the
-/// exact `(key, count)` contents of `[from, covered_hi]` at the
-/// window's linearization point.
-#[derive(Debug, Clone)]
-pub struct ScanWindow<K> {
-    /// `(key, count)` pairs in ascending key order.
-    pub pairs: Vec<(K, u64)>,
-    /// Inclusive upper bound of the interval this window certifies:
-    /// the requested `hi` when the walk exhausted the range, else the
-    /// last collected key (the window hit its key budget).
-    pub covered_hi: K,
-    /// Whether the walk exhausted the range — `true` means the scan is
-    /// complete, `false` means resume from `covered_hi + 1`.
-    pub end: bool,
-}
-
 /// A linearizable, non-blocking multiset of keys (paper §5).
 ///
 /// Keys must be `Copy + Ord`; counts are `u64`. The structure is a
@@ -372,67 +356,44 @@ impl<K: Copy + Ord> Multiset<K> {
         }
     }
 
-    /// Fold over the `(key, count)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, in ascending key order, over a **consistent
-    /// snapshot**: unlike [`Multiset::fold`], all visited pairs held
-    /// *simultaneously* at one linearization point.
-    ///
-    /// This generalizes [`Multiset::get_many`] from a key set to a key
-    /// interval, using the same VLX discipline (paper §3): LLX the
-    /// predecessor of `lo` and every node in the range, walking the
-    /// *snapshotted* `next` pointers, then validate the whole set with
-    /// one VLX and retry on failure. Any insert into the range must
-    /// change a snapshotted `next` field and any removal must finalize a
-    /// snapshotted node, so a successful VLX certifies the collected
-    /// pairs as the exact range contents at its linearization point.
-    ///
-    /// `lo > hi` denotes the empty range and folds nothing.
-    pub fn fold_range<A, F: FnMut(A, K, u64) -> A>(&self, lo: K, hi: K, init: A, mut f: F) -> A {
-        if lo > hi {
-            return init;
-        }
-        let pairs = loop {
-            if let Some(window) = self.try_scan_window(lo, hi, usize::MAX) {
-                break window.pairs;
-            }
-        };
-        pairs.into_iter().fold(init, |acc, (k, c)| f(acc, k, c))
-    }
-
     /// One bounded-window snapshot attempt: collect up to `max_keys`
     /// in-range keys starting at `from` — LLXing the predecessor of
     /// `from` and every collected node along *snapshotted* `next`
     /// pointers — and validate just that chain prefix with one VLX.
     ///
-    /// On success the returned [`ScanWindow`] is the exact contents of
-    /// `[from, window.covered_hi]` at the VLX's linearization point:
-    /// any insert into that interval must change a snapshotted `next`
-    /// field and any removal must finalize a snapshotted node. `None`
-    /// means a conflicting update was detected; the *caller* decides
-    /// whether to retry — this bounded-retry granularity is what the
-    /// `conc-set` scan cursor builds its windows on.
-    /// `max_keys = usize::MAX` is the whole-range atomic scan
-    /// ([`Multiset::fold_range`]).
+    /// This generalizes [`Multiset::get_many`] from a key set to a key
+    /// interval, using the same VLX discipline (paper §3). On success
+    /// the `(key, count)` pairs emitted through `emit` (ascending, only
+    /// after the VLX) are the exact contents of `[from, covered_hi]` at
+    /// the VLX's linearization point: any insert into that interval
+    /// must change a snapshotted `next` field and any removal must
+    /// finalize a snapshotted node. The return value is `Some((covered_hi,
+    /// end))`: `covered_hi` is `hi` when the walk exhausted the range
+    /// (`end`), else the last emitted key (the window hit its budget;
+    /// resume from the next key). `None` means a conflicting update was
+    /// detected and nothing was emitted; the *caller* decides whether
+    /// to retry — this bounded-retry granularity is what the `conc-set`
+    /// scan cursor builds its windows on. `max_keys = usize::MAX` is
+    /// the whole-range atomic scan.
     ///
     /// # Panics
     ///
     /// Panics if `max_keys == 0`.
-    pub fn try_scan_window(&self, from: K, hi: K, max_keys: usize) -> Option<ScanWindow<K>> {
+    pub fn try_scan_window(
+        &self,
+        from: K,
+        hi: K,
+        max_keys: usize,
+        mut emit: impl FnMut(K, u64),
+    ) -> Option<(K, bool)> {
         assert!(max_keys > 0, "a scan window covers at least one key");
-        if from > hi {
-            return Some(ScanWindow {
-                pairs: Vec::new(),
-                covered_hi: hi,
-                end: true,
-            });
-        }
         let guard = llx_scx::pin();
         let (_r, p) = self.search(&from, &guard);
         let LlxResult::Snapshot(mut cur) = self.domain.llx(p, &guard) else {
             return None;
         };
         let mut snaps = vec![cur];
-        let mut out: Vec<(K, u64)> = Vec::new();
+        let mut collected = 0usize;
         let mut end = true;
         loop {
             let next_word = cur.value(NEXT);
@@ -451,11 +412,11 @@ impl<K: Copy + Ord> Multiset<K> {
                     // the initial search; they extend the validated
                     // chain but are not part of the answer.
                     if *k >= from {
-                        out.push((*k, s.value(COUNT)));
+                        collected += 1;
                     }
                     snaps.push(s);
                     cur = s;
-                    if out.len() >= max_keys {
+                    if collected >= max_keys {
                         // Budget spent: the validated chain prefix
                         // certifies [from, *k]; later keys are all
                         // strictly greater (sorted list).
@@ -472,22 +433,18 @@ impl<K: Copy + Ord> Multiset<K> {
         if !self.domain.vlx(&snaps) {
             return None;
         }
-        let covered_hi = if end {
-            hi
-        } else {
-            out.last().expect("a capped window is non-empty").0
-        };
-        Some(ScanWindow {
-            pairs: out,
-            covered_hi,
-            end,
-        })
-    }
-
-    /// Total occurrences with keys in `[lo, hi]` at a single
-    /// linearization point. See [`Multiset::fold_range`].
-    pub fn range_count(&self, lo: K, hi: K) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _k, c| acc + c)
+        // The validated chain after the predecessor holds exactly the
+        // collected keys, ascending, plus any raced-in keys below `from`.
+        let mut last = hi;
+        for s in &snaps[1..] {
+            if let SentinelKey::Key(k) = s.record().immutable() {
+                if *k >= from {
+                    emit(*k, s.value(COUNT));
+                    last = *k;
+                }
+            }
+        }
+        Some((if end { hi } else { last }, end))
     }
 
     /// Traversal that performs an **LLX on every visited node** instead
@@ -725,24 +682,32 @@ mod tests {
     }
 
     #[test]
-    fn fold_range_snapshots_subranges() {
+    fn scan_windows_snapshot_subranges() {
         let s = Multiset::new();
         for (k, c) in [(1i64, 2u64), (3, 1), (5, 4), (9, 1)] {
             s.insert(k, c);
         }
-        let collect = |lo, hi| {
-            s.fold_range(lo, hi, Vec::new(), |mut v, k, c| {
-                v.push((k, c));
-                v
-            })
+        let window = |from, hi, max| {
+            let mut v = Vec::new();
+            let covered = s
+                .try_scan_window(from, hi, max, |k, c| v.push((k, c)))
+                .expect("quiescent windows validate");
+            (v, covered)
         };
-        assert_eq!(collect(0, 10), vec![(1, 2), (3, 1), (5, 4), (9, 1)]);
-        assert_eq!(collect(2, 5), vec![(3, 1), (5, 4)]);
-        assert_eq!(collect(3, 3), vec![(3, 1)], "single-key range");
-        assert_eq!(collect(4, 4), vec![], "empty interior range");
-        assert_eq!(collect(10, 2), vec![], "lo > hi is the empty range");
-        assert_eq!(s.range_count(0, i64::MAX), s.len());
-        assert_eq!(s.range_count(3, 5), 5);
+        let all = |lo, hi| window(lo, hi, usize::MAX).0;
+        assert_eq!(all(0, 10), vec![(1, 2), (3, 1), (5, 4), (9, 1)]);
+        assert_eq!(all(2, 5), vec![(3, 1), (5, 4)]);
+        assert_eq!(all(3, 3), vec![(3, 1)], "single-key range");
+        assert_eq!(all(4, 4), vec![], "empty interior range");
+        assert_eq!(all(10, 2), vec![], "lo > hi is the empty range");
+        assert_eq!(all(i64::MIN, i64::MAX).len(), 4, "sentinel-bounded range");
+        // A capped window certifies up to its last key; the rest of the
+        // range resumes after it.
+        assert_eq!(window(0, 10, 2), (vec![(1, 2), (3, 1)], (3, false)));
+        assert_eq!(window(4, 10, 2), (vec![(5, 4), (9, 1)], (9, false)));
+        assert_eq!(window(10, 10, 2), (vec![], (10, true)));
+        assert_eq!(window(0, 10, 4).1, (9, false), "budget met exactly");
+        assert_eq!(window(0, 10, 5).1, (10, true));
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod multiset;
 mod stats;
 pub(crate) mod sync;
 
-pub use multiset::{KcasMultiset, ScanWindow};
+pub use multiset::KcasMultiset;
 pub use stats::{kcas_cas_count, kcas_reset_cas_count};
 
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

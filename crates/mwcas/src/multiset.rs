@@ -25,22 +25,6 @@ use crate::{kcas, KcasCell};
 /// analogue of SCX finalization.
 const DEAD: u64 = crate::MAX_VALUE;
 
-/// One validated scan window (see [`KcasMultiset::try_scan_window`]):
-/// the exact `(key, count)` contents of `[from, covered_hi]` at the
-/// identity kCAS's linearization point.
-#[derive(Debug, Clone)]
-pub struct ScanWindow {
-    /// `(key, count)` pairs in ascending key order.
-    pub pairs: Vec<(u64, u64)>,
-    /// Inclusive upper bound of the interval this window certifies:
-    /// the requested `hi` when the walk exhausted the range, else the
-    /// last collected key (the window hit its key budget).
-    pub covered_hi: u64,
-    /// Whether the walk exhausted the range — `true` means the scan is
-    /// complete, `false` means resume from `covered_hi + 1`.
-    pub end: bool,
-}
-
 struct KNode {
     /// Immutable key; `u64::MAX` marks the tail sentinel.
     key: u64,
@@ -209,64 +193,38 @@ impl KcasMultiset {
         }
     }
 
-    /// Fold over the `(key, count)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending, over a **consistent snapshot**.
-    ///
-    /// This is the kCAS analogue of the LLX/SCX multiset's VLX-validated
-    /// scan, and it showcases the paper's §2 cost argument from the read
-    /// side: lacking LLX/VLX, the only way to validate a multi-record
-    /// snapshot here is an *identity kCAS* (every `new == expected`)
-    /// over the predecessor's `next` plus both mutable fields of every
-    /// node in the range — `2m+1` descriptor installs for an `m`-node
-    /// range, each a CAS, versus VLX's `2m+1` plain reads. A successful
-    /// identity kCAS certifies all the cells held their expected values
-    /// simultaneously at its linearization point; removed nodes fail it
-    /// through their `DEAD` poison, and inserts through the snapshotted
-    /// `next` chain. Retries on conflict. `lo > hi` folds nothing.
-    pub fn fold_range<A, F: FnMut(A, u64, u64) -> A>(
-        &self,
-        lo: u64,
-        hi: u64,
-        init: A,
-        mut f: F,
-    ) -> A {
-        if lo > hi {
-            return init;
-        }
-        let pairs = loop {
-            if let Some(window) = self.try_scan_window(lo, hi, usize::MAX) {
-                break window.pairs;
-            }
-        };
-        pairs.into_iter().fold(init, |acc, (k, c)| f(acc, k, c))
-    }
-
     /// One bounded-window snapshot attempt: collect up to `max_keys`
     /// keys of `[from, hi]` and validate the window with an **identity
-    /// kCAS** over the predecessor's `next` plus both mutable fields of
-    /// every collected node — `2m + 1` CAS-installed cells for an
-    /// `m`-key window, where the LLX/SCX multiset's VLX pays `2m + 1`
-    /// plain reads (the paper's §2 cost argument, per window).
+    /// kCAS** (every `new == expected`) over the predecessor's `next`
+    /// plus both mutable fields of every collected node.
     ///
-    /// On success the returned [`ScanWindow`] is the exact contents of
-    /// `[from, window.covered_hi]` at the kCAS's linearization point
-    /// (removed nodes fail it through their `DEAD` poison, inserts
-    /// through the snapshotted `next` chain). `None` means a conflict;
-    /// the caller decides whether to retry. `max_keys = usize::MAX` is
-    /// the whole-range atomic scan ([`KcasMultiset::fold_range`]).
+    /// This is the kCAS analogue of the LLX/SCX multiset's VLX-validated
+    /// window, and it showcases the paper's §2 cost argument from the
+    /// read side: lacking LLX/VLX, the only way to validate a
+    /// multi-record snapshot here is an identity kCAS — `2m + 1`
+    /// CAS-installed cells for an `m`-key window, where VLX pays
+    /// `2m + 1` plain reads.
+    ///
+    /// On success the pairs emitted through `emit` (ascending, only
+    /// after the kCAS) are the exact contents of `[from, covered_hi]`
+    /// at the kCAS's linearization point (removed nodes fail it through
+    /// their `DEAD` poison, inserts through the snapshotted `next`
+    /// chain), and the return value is `Some((covered_hi, end))` as in
+    /// `multiset::Multiset::try_scan_window`. `None` means a conflict
+    /// and nothing was emitted; the caller decides whether to retry.
+    /// `max_keys = usize::MAX` is the whole-range atomic scan.
     ///
     /// # Panics
     ///
     /// Panics if `max_keys == 0`.
-    pub fn try_scan_window(&self, from: u64, hi: u64, max_keys: usize) -> Option<ScanWindow> {
+    pub fn try_scan_window(
+        &self,
+        from: u64,
+        hi: u64,
+        max_keys: usize,
+        mut emit: impl FnMut(u64, u64),
+    ) -> Option<(u64, bool)> {
         assert!(max_keys > 0, "a scan window covers at least one key");
-        if from > hi {
-            return Some(ScanWindow {
-                pairs: Vec::new(),
-                covered_hi: hi,
-                end: true,
-            });
-        }
         let guard = crossbeam_epoch::pin();
         // Plain-read traversal to the predecessor of `from`.
         // SAFETY: head never retired; successors epoch-protected.
@@ -314,22 +272,15 @@ impl KcasMultiset {
         if !kcas(&entries, &guard) {
             return None;
         }
+        for &(k, c) in &out {
+            emit(k, c);
+        }
         let covered_hi = if end {
             hi
         } else {
             out.last().expect("a capped window is non-empty").0
         };
-        Some(ScanWindow {
-            pairs: out,
-            covered_hi,
-            end,
-        })
-    }
-
-    /// Total occurrences with keys in `[lo, hi]` at a single
-    /// linearization point. See [`KcasMultiset::fold_range`].
-    pub fn range_count(&self, lo: u64, hi: u64) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _k, c| acc + c)
+        Some((covered_hi, end))
     }
 
     /// Collect `(key, count)` pairs in ascending key order (traversal

@@ -1,26 +1,30 @@
 //! CAS step counting for the E1 step-complexity experiment.
 //!
-//! A single process-wide counter suffices here: the experiment measures
-//! uncontended single-threaded costs, differencing the counter around
-//! one operation.
+//! The counter is per thread: the experiment measures uncontended
+//! single-threaded costs, differencing the counter around one operation
+//! on the calling thread, so kCASes run by other threads (parallel
+//! tests, background workers) never leak into the difference.
 
-use crate::sync::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static CAS_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static CAS_COUNT: Cell<u64> = const { Cell::new(0) };
+}
 
 #[inline]
 pub(crate) fn bump_cas() {
-    CAS_COUNT.fetch_add(1, Ordering::Relaxed); // ord: stats counter; no sync role
+    CAS_COUNT.with(|c| c.set(c.get() + 1));
 }
 
-/// Total CAS steps executed by this crate since the last reset.
+/// CAS steps executed by this crate on the calling thread since the
+/// thread's last reset.
 pub fn kcas_cas_count() -> u64 {
-    CAS_COUNT.load(Ordering::Relaxed) // ord: stats counter snapshot; no sync role
+    CAS_COUNT.with(Cell::get)
 }
 
-/// Reset the CAS step counter to zero.
+/// Reset the calling thread's CAS step counter to zero.
 pub fn kcas_reset_cas_count() {
-    CAS_COUNT.store(0, Ordering::Relaxed); // ord: stats counter reset; no sync role
+    CAS_COUNT.with(|c| c.set(0));
 }
 
 #[cfg(test)]

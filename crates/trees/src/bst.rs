@@ -278,30 +278,20 @@ impl<K: Copy + Ord, V: Clone> Bst<K, V> {
         acc
     }
 
-    /// Fold over the `(key, value)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending, over a **consistent snapshot**: an
-    /// in-order walk that LLXs every visited node, prunes subtrees
-    /// disjoint from the range, and validates the visited set with one
-    /// VLX, retrying on conflict (see `scan` module docs). `lo > hi`
-    /// folds nothing.
-    pub fn fold_range<A, F: FnMut(A, K, &V) -> A>(&self, lo: K, hi: K, init: A, f: F) -> A {
-        crate::scan::fold_range_snapshot(&self.domain, self.root, lo, hi, init, f)
-    }
-
-    /// Number of keys in `[lo, hi]` at a single linearization point.
-    /// See [`Bst::fold_range`].
-    pub fn range_count(&self, lo: K, hi: K) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _, _| acc + 1)
-    }
-
-    /// One bounded-window snapshot attempt: collect up to `max_keys`
-    /// keys of `[from, hi]` (ascending) and validate just the visited
-    /// nodes with one VLX. On success the returned
-    /// [`ScanWindow`](crate::ScanWindow) is the exact contents of
-    /// `[from, window.covered_hi]` at the VLX's linearization point;
-    /// `None` means a conflicting update was detected — the caller
-    /// decides whether to retry (this is the primitive the `conc-set`
-    /// scan cursor's bounded-retry windows are built on).
+    /// One bounded-window snapshot attempt: an in-order walk that LLXs
+    /// every visited node, prunes subtrees disjoint from `[from, hi]`,
+    /// collects up to `max_keys` in-range keys and validates just the
+    /// visited nodes with one VLX (see the `scan` module docs).
+    ///
+    /// On success the pairs emitted through `emit` (ascending, only
+    /// after the VLX) are the exact contents of `[from, covered_hi]` at
+    /// the VLX's linearization point, and the return value is
+    /// `Some((covered_hi, end))`: `covered_hi` is `hi` when the walk
+    /// exhausted the range (`end`), else the last emitted key. `None`
+    /// means a conflicting update was detected and nothing was emitted
+    /// — the caller decides whether to retry (this is the primitive the
+    /// `conc-set` scan cursor's bounded-retry windows are built on).
+    /// `max_keys = usize::MAX` is the whole-range atomic scan.
     ///
     /// # Panics
     ///
@@ -311,8 +301,9 @@ impl<K: Copy + Ord, V: Clone> Bst<K, V> {
         from: K,
         hi: K,
         max_keys: usize,
-    ) -> Option<crate::ScanWindow<K, V>> {
-        crate::scan::scan_window_bstlike(&self.domain, self.root, from, hi, max_keys)
+        emit: impl FnMut(K, &V),
+    ) -> Option<(K, bool)> {
+        crate::scan::try_window_bstlike(&self.domain, self.root, from, hi, max_keys, emit)
     }
 
     /// Collect `(key, value)` pairs in ascending key order (traversal

@@ -915,23 +915,6 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
         acc
     }
 
-    /// Fold over the `(key, value)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending, over a **consistent snapshot**: an
-    /// in-order walk that LLXs every visited node, prunes subtrees
-    /// disjoint from the range, and validates the visited set with one
-    /// VLX, retrying on conflict (see `scan` module docs). Rebalancing
-    /// SCXs on visited nodes also trigger retries. `lo > hi` folds
-    /// nothing.
-    pub fn fold_range<A, F: FnMut(A, K, &V) -> A>(&self, lo: K, hi: K, init: A, f: F) -> A {
-        crate::scan::fold_range_snapshot(&self.domain, self.root, lo, hi, init, f)
-    }
-
-    /// Number of keys in `[lo, hi]` at a single linearization point.
-    /// See [`ChromaticTree::fold_range`].
-    pub fn range_count(&self, lo: K, hi: K) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _, _| acc + 1)
-    }
-
     /// One bounded-window snapshot attempt: collect up to `max_keys`
     /// keys of `[from, hi]` (ascending) and validate just the visited
     /// nodes with one VLX; see `Bst::try_scan_window` for the contract.
@@ -947,8 +930,9 @@ impl<K: Copy + Ord, V: Clone> ChromaticTree<K, V> {
         from: K,
         hi: K,
         max_keys: usize,
-    ) -> Option<crate::ScanWindow<K, V>> {
-        crate::scan::scan_window_bstlike(&self.domain, self.root, from, hi, max_keys)
+        emit: impl FnMut(K, &V),
+    ) -> Option<(K, bool)> {
+        crate::scan::try_window_bstlike(&self.domain, self.root, from, hi, max_keys, emit)
     }
 
     /// Collect `(key, value)` pairs in ascending key order (traversal

@@ -45,4 +45,3 @@ pub use bst::Bst;
 pub use chromatic::ChromaticTree;
 pub use node::{NodeInfo, TreeKey};
 pub use patricia::PatriciaTrie;
-pub use scan::ScanWindow;

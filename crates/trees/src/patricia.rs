@@ -355,51 +355,31 @@ impl<V: Clone> PatriciaTrie<V> {
         acc
     }
 
-    /// Fold over the `(key, value)` pairs with keys in the inclusive
-    /// range `[lo, hi]`, ascending, over a **consistent snapshot**.
+    /// One bounded-window snapshot attempt: collect up to `max_keys`
+    /// keys of `[from, hi]` (ascending) and validate just the visited
+    /// nodes with one VLX; see `Bst::try_scan_window` for the
+    /// contract.
     ///
     /// The walk descends by *prefix pruning*: an internal node branching
     /// on `bit` covers exactly the keys that agree with its
     /// (immutable) representative key above `bit`, a contiguous
     /// interval, so disjoint subtrees are skipped without being read —
     /// for a range that is a prefix interval this is precisely the
-    /// trie's `O(bits)` prefix descent. Every node actually visited is
-    /// LLXed, children are followed through the snapshots, and the
-    /// visited set is validated with one VLX (retrying on conflict), so
-    /// the collected pairs all held at the VLX's linearization point.
-    /// `lo > hi` folds nothing.
-    pub fn fold_range<A, F: FnMut(A, u64, &V) -> A>(
-        &self,
-        lo: u64,
-        hi: u64,
-        init: A,
-        mut f: F,
-    ) -> A {
-        if lo > hi {
-            return init;
-        }
-        let pairs = loop {
-            let guard = llx_scx::pin();
-            if let Some((pairs, _end)) = self.try_window(lo, hi, usize::MAX, &guard) {
-                break pairs;
-            }
-        };
-        pairs.into_iter().fold(init, |acc, (k, v)| f(acc, k, &v))
-    }
-
-    /// One optimistic windowed attempt over `[from, hi]`, through the
-    /// shared tree-scan engine (`scan` module); `None` means an LLX
-    /// failed, a visited node was finalized, or the VLX rejected the
-    /// visited set.
-    fn try_window(
+    /// trie's `O(bits)` prefix descent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_keys == 0`.
+    pub fn try_scan_window(
         &self,
         from: u64,
         hi: u64,
         max_keys: usize,
-        guard: &Guard,
-    ) -> Option<(Vec<(u64, V)>, bool)> {
+        emit: impl FnMut(u64, &V),
+    ) -> Option<(u64, bool)> {
         use crate::scan::Visit;
         let root = self.root;
+        let guard = &llx_scx::pin();
         // Prune at push time, before the child is ever LLXed: an
         // internal node branching on `bit` covers exactly the keys that
         // agree with its (immutable) representative above `bit` — the
@@ -421,76 +401,40 @@ impl<V: Clone> PatriciaTrie<V> {
         // SAFETY: the root entry point is never retired; children come
         // from validated snapshots and are protected by `guard`.
         let start: &Node<V> = unsafe { &*root };
-        crate::scan::try_collect_window(&self.domain, start, max_keys, guard, &mut |n, s| {
-            if std::ptr::eq(n, root) {
-                // The entry point: kind Empty, but its LEFT child is
-                // the trie top.
-                // SAFETY: snapshotted child under `guard`.
-                let top: &Node<V> = unsafe { self.domain.deref(s.value(LEFT), guard) };
-                return Visit::Push([None, overlapping(top).then_some(top)]);
-            }
-            match &n.immutable().kind {
-                PatKind::Empty => Visit::Leaf(None),
-                PatKind::Leaf(v) => {
-                    let k = n.immutable().key;
-                    Visit::Leaf((from <= k && k <= hi).then(|| (k, v.clone())))
+        crate::scan::try_collect_window(
+            &self.domain,
+            start,
+            hi,
+            max_keys,
+            guard,
+            emit,
+            &mut |n, s| {
+                if std::ptr::eq(n, root) {
+                    // The entry point: kind Empty, but its LEFT child is
+                    // the trie top.
+                    // SAFETY: snapshotted child under `guard`.
+                    let top: &Node<V> = unsafe { self.domain.deref(s.value(LEFT), guard) };
+                    return Visit::Push([None, overlapping(top).then_some(top)]);
                 }
-                PatKind::Internal { .. } => {
-                    // SAFETY: snapshotted children under `guard`.
-                    let right: &Node<V> = unsafe { self.domain.deref(s.value(RIGHT), guard) };
-                    let left: &Node<V> = unsafe { self.domain.deref(s.value(LEFT), guard) };
-                    // Right before left so lefts pop first (ascending).
-                    Visit::Push([
-                        overlapping(right).then_some(right),
-                        overlapping(left).then_some(left),
-                    ])
+                match &n.immutable().kind {
+                    PatKind::Empty => Visit::Leaf(None),
+                    PatKind::Leaf(v) => {
+                        let k = n.immutable().key;
+                        Visit::Leaf((from <= k && k <= hi).then_some((k, v)))
+                    }
+                    PatKind::Internal { .. } => {
+                        // SAFETY: snapshotted children under `guard`.
+                        let right: &Node<V> = unsafe { self.domain.deref(s.value(RIGHT), guard) };
+                        let left: &Node<V> = unsafe { self.domain.deref(s.value(LEFT), guard) };
+                        // Right before left so lefts pop first (ascending).
+                        Visit::Push([
+                            overlapping(right).then_some(right),
+                            overlapping(left).then_some(left),
+                        ])
+                    }
                 }
-            }
-        })
-    }
-
-    /// One bounded-window snapshot attempt: collect up to `max_keys`
-    /// keys of `[from, hi]` (ascending) and validate just the visited
-    /// nodes with one VLX; see `Bst::try_scan_window` for the
-    /// contract. Prefix-shaped windows keep the trie's `O(bits)`
-    /// descent — pruning happens on immutable intervals before a
-    /// subtree is ever read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_keys == 0`.
-    pub fn try_scan_window(
-        &self,
-        from: u64,
-        hi: u64,
-        max_keys: usize,
-    ) -> Option<crate::ScanWindow<u64, V>> {
-        assert!(max_keys > 0, "a scan window covers at least one key");
-        if from > hi {
-            return Some(crate::ScanWindow {
-                pairs: Vec::new(),
-                covered_hi: hi,
-                end: true,
-            });
-        }
-        let guard = llx_scx::pin();
-        let (pairs, end) = self.try_window(from, hi, max_keys, &guard)?;
-        let covered_hi = if end {
-            hi
-        } else {
-            pairs.last().expect("a capped window is non-empty").0
-        };
-        Some(crate::ScanWindow {
-            pairs,
-            covered_hi,
-            end,
-        })
-    }
-
-    /// Number of keys in `[lo, hi]` at a single linearization point.
-    /// See [`PatriciaTrie::fold_range`].
-    pub fn range_count(&self, lo: u64, hi: u64) -> u64 {
-        self.fold_range(lo, hi, 0u64, |acc, _, _| acc + 1)
+            },
+        )
     }
 
     /// Collect `(key, value)` pairs in ascending key order.

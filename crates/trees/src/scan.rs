@@ -24,26 +24,11 @@
 //! prefix is the exact contents of the *covered* interval
 //! `[from, last_key]` — the per-window atomicity the
 //! `conc-set` scan-cursor API is built on. `max_keys = usize::MAX`
-//! recovers the whole-range atomic scan.
+//! is the whole-range atomic scan.
 
 use llx_scx::{DataRecord, Domain, Guard, Llx};
 
 use crate::node::{is_leaf, Node, TreeDomain, TreeKey, LEFT, RIGHT};
-
-/// One validated scan window: the exact contents of `[from, covered_hi]`
-/// at the window's linearization point.
-#[derive(Debug, Clone)]
-pub struct ScanWindow<K, V> {
-    /// `(key, value)` pairs in ascending key order.
-    pub pairs: Vec<(K, V)>,
-    /// Inclusive upper bound of the interval this window certifies:
-    /// the requested `hi` when the walk exhausted the range, else the
-    /// last collected key (the window hit its key budget).
-    pub covered_hi: K,
-    /// Whether the walk exhausted the range — `true` means the cursor
-    /// is done, `false` means resume from `covered_hi + 1`.
-    pub end: bool,
-}
 
 /// What the windowed walk does at one visited (and LLXed) node.
 pub(crate) enum Visit<'g, N, K, V> {
@@ -63,20 +48,24 @@ type Classify<'c, 'g, const M: usize, I, K, V> =
 /// pair or push the (range-overlapping) children, stop after `max_keys`
 /// collected pairs, then VLX the visited set.
 ///
-/// Returns the collected pairs plus whether the walk exhausted the
-/// range (`false` = stopped at the key budget with subtrees left), or
-/// `None` if an LLX failed, a node was finalized, or the VLX rejected
-/// the visited set.
+/// On success emits the collected pairs (ascending, after the VLX) and
+/// returns `Some((covered_hi, end))`: `end` says the walk exhausted the
+/// range and `covered_hi` is then `hi`, else the last emitted key (the
+/// walk stopped at the key budget with subtrees left). `None` means an
+/// LLX failed, a node was finalized, or the VLX rejected the visited
+/// set; nothing was emitted.
 pub(crate) fn try_collect_window<'g, const M: usize, I, K: Copy + Ord, V>(
     domain: &Domain<M, I>,
     start: &'g DataRecord<M, I>,
+    hi: K,
     max_keys: usize,
     guard: &'g Guard,
-    classify: Classify<'_, 'g, M, I, K, V>,
-) -> Option<(Vec<(K, V)>, bool)> {
-    debug_assert!(max_keys > 0, "a scan window covers at least one key");
+    mut emit: impl FnMut(K, &V),
+    classify: Classify<'_, 'g, M, I, K, &'g V>,
+) -> Option<(K, bool)> {
+    assert!(max_keys > 0, "a scan window covers at least one key");
     let mut snaps: Vec<Llx<'g, M, I>> = Vec::new();
-    let mut out: Vec<(K, V)> = Vec::new();
+    let mut out: Vec<(K, &'g V)> = Vec::new();
     let mut stack: Vec<&DataRecord<M, I>> = vec![start];
     while let Some(n) = stack.pop() {
         let s = domain.llx(n, guard).snapshot()?;
@@ -100,36 +89,45 @@ pub(crate) fn try_collect_window<'g, const M: usize, I, K: Copy + Ord, V>(
     // Unvisited stack entries hold only keys past the last collected
     // one (in-order), so the validated prefix covers a full interval.
     let end = stack.is_empty();
-    if domain.vlx(&snaps) {
-        Some((out, end))
-    } else {
-        None
+    if !domain.vlx(&snaps) {
+        return None;
     }
+    for &(k, v) in &out {
+        emit(k, v);
+    }
+    let covered_hi = if end {
+        hi
+    } else {
+        out.last().expect("a capped window is non-empty").0
+    };
+    Some((covered_hi, end))
 }
 
 /// One windowed attempt on the shared [`Bst`](crate::Bst) /
 /// [`ChromaticTree`](crate::ChromaticTree) node layout: prune with the
 /// BST routing invariant (left subtree `< nk`, right `>= nk`), collect
-/// leaves in `[from, hi]`.
-pub(crate) fn try_window_bstlike<'g, K: Copy + Ord + 'g, V: Clone + 'g>(
+/// leaves in `[from, hi]`. The attempt behind `Bst::try_scan_window` /
+/// `ChromaticTree::try_scan_window`.
+pub(crate) fn try_window_bstlike<K: Copy + Ord, V>(
     domain: &TreeDomain<K, V>,
     root: *const Node<K, V>,
-    from: &K,
-    hi: &K,
+    from: K,
+    hi: K,
     max_keys: usize,
-    guard: &'g Guard,
-) -> Option<(Vec<(K, V)>, bool)> {
-    let klo = TreeKey::Key(*from);
-    let khi = TreeKey::Key(*hi);
+    emit: impl FnMut(K, &V),
+) -> Option<(K, bool)> {
+    let klo = TreeKey::Key(from);
+    let khi = TreeKey::Key(hi);
+    let guard = &llx_scx::pin();
     // SAFETY: the root entry point is never retired; children come from
     // validated snapshots and are protected by `guard`.
     let start: &Node<K, V> = unsafe { &*root };
-    try_collect_window(domain, start, max_keys, guard, &mut |n, s| {
+    try_collect_window(domain, start, hi, max_keys, guard, emit, &mut |n, s| {
         if is_leaf(n) {
             let info = n.immutable();
             if let (TreeKey::Key(k), Some(v)) = (&info.key, &info.value) {
-                if *from <= *k && *k <= *hi {
-                    return Visit::Leaf(Some((*k, v.clone())));
+                if from <= *k && *k <= hi {
+                    return Visit::Leaf(Some((*k, v)));
                 }
             }
             Visit::Leaf(None)
@@ -153,61 +151,4 @@ pub(crate) fn try_window_bstlike<'g, K: Copy + Ord + 'g, V: Clone + 'g>(
             ])
         }
     })
-}
-
-/// The windowed attempt behind `Bst::try_scan_window` /
-/// `ChromaticTree::try_scan_window`: wraps [`try_window_bstlike`] in
-/// the [`ScanWindow`] covered-interval bookkeeping.
-pub(crate) fn scan_window_bstlike<K: Copy + Ord, V: Clone>(
-    domain: &TreeDomain<K, V>,
-    root: *const Node<K, V>,
-    from: K,
-    hi: K,
-    max_keys: usize,
-) -> Option<ScanWindow<K, V>> {
-    assert!(max_keys > 0, "a scan window covers at least one key");
-    if from > hi {
-        return Some(ScanWindow {
-            pairs: Vec::new(),
-            covered_hi: hi,
-            end: true,
-        });
-    }
-    let guard = llx_scx::pin();
-    let (pairs, end) = try_window_bstlike(domain, root, &from, &hi, max_keys, &guard)?;
-    let covered_hi = if end {
-        hi
-    } else {
-        pairs.last().expect("a capped window is non-empty").0
-    };
-    Some(ScanWindow {
-        pairs,
-        covered_hi,
-        end,
-    })
-}
-
-/// Fold over the `(key, value)` pairs with keys in the inclusive range
-/// `[lo, hi]`, ascending, over a VLX-validated consistent snapshot —
-/// the whole-range (`max_keys = ∞`) special case of the windowed walk.
-/// Retries on conflicting updates; `lo > hi` folds nothing.
-pub(crate) fn fold_range_snapshot<K: Copy + Ord, V: Clone, A, F: FnMut(A, K, &V) -> A>(
-    domain: &TreeDomain<K, V>,
-    root: *const Node<K, V>,
-    lo: K,
-    hi: K,
-    init: A,
-    mut f: F,
-) -> A {
-    if lo > hi {
-        return init;
-    }
-    let pairs = loop {
-        let guard = llx_scx::pin();
-        if let Some((pairs, _end)) = try_window_bstlike(domain, root, &lo, &hi, usize::MAX, &guard)
-        {
-            break pairs;
-        }
-    };
-    pairs.into_iter().fold(init, |acc, (k, v)| f(acc, k, &v))
 }

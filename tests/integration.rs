@@ -3,6 +3,7 @@
 //! domain machinery interoperate; reclamation stays balanced across a
 //! whole-workspace workload.
 
+use conc_set::ConcurrentOrderedSet;
 use lockbased::{CoarseMultiset, HandOverHandMultiset};
 use multiset::Multiset;
 use mwcas::KcasMultiset;
@@ -112,6 +113,7 @@ fn workload_generator_drives_all_structures() {
                 let _ = tree.remove(key);
             }
             OpKind::Scan => {
+                // Snapshot scans through the trait's atomic tier.
                 let _ = set.range_count(key, key.saturating_add(15));
                 let _ = tree.range_count(key, key.saturating_add(15));
             }

@@ -17,9 +17,9 @@
 //!
 //! Scenario hygiene: each execution's factory runs on the (uninstrumented)
 //! controller thread and starts by draining process-global state —
-//! `flush_reclamation` (epoch queue + orphans), `reset_pool_stats`,
-//! `kcas_reset_cas_count` — so schedules are replayable and nothing bleeds
-//! between executions.
+//! `flush_reclamation` (epoch queue + orphans) and `reset_pool_stats` —
+//! so schedules are replayable and nothing bleeds between executions.
+//! The kCAS CAS counter needs no reset: it is per thread.
 #![cfg(llx_model)]
 // The regression family only exercises the kernels the bug gates touch.
 #![cfg_attr(llx_model_bugs, allow(dead_code))]
@@ -30,13 +30,12 @@ use std::sync::Arc;
 use llx_scx::{Domain, FieldId, ScxRequest};
 use modelcheck::{Execution, Explorer};
 
-/// Reset process-global counters and drain reclamation state so every
-/// execution starts from the same world. Runs uninstrumented (controller
-/// thread holds no model TID).
+/// Reset the process-global pool counters and drain reclamation state
+/// so every execution starts from the same world. Runs uninstrumented
+/// (controller thread holds no model TID).
 fn reset_world() {
     llx_scx::flush_reclamation();
     llx_scx::reset_pool_stats();
-    mwcas::kcas_reset_cas_count();
 }
 
 /// Send wrapper for raw pointers threaded into worker closures.
