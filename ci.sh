@@ -34,20 +34,14 @@
 #                  and a best-of-3 compare leg asserting the facade's
 #                  wide-range read throughput stays at parity with the
 #                  bare backend
-#   bg-reclaim     the stress/linearizability/reclamation suites again
-#                  with the epoch shim in background-reclaimer mode and
-#                  a small collection budget (LLX_EPOCH_BG=1
-#                  LLX_EPOCH_BUDGET=8): every leak check and
-#                  conservation law must hold when a dedicated thread
-#                  races the mutators for collection
 #   compare-smoke  bench-harness `compare` and `scanwin` at tiny knobs
 #                  (with a scan mix); asserts both tables parse and
 #                  include every registered structure, so a broken
 #                  registry or scan knob cannot silently drop a column
 #   latency        bench-harness `lat` at tiny knobs: asserts the
 #                  latency table is well-formed (every structure in
-#                  all three epoch modes x two mixes, 9 fields per
-#                  row) and that --json writes a non-empty document
+#                  both mixes, 9 fields per row) and that --json writes
+#                  a non-empty document
 #   serve          the network service tier end to end: bench-harness
 #                  `serve` spawns a loopback netsvc server over two
 #                  specs (one sharded), runs the pipelined client mix
@@ -60,11 +54,10 @@
 #                  skips epoch ticks) across five seeds in release
 #                  under `timeout`, asserting op-ledger conservation,
 #                  at-most-once mutations, zero SCX-record leaks and
-#                  bounded completion; plus a debug leg with the
-#                  background reclaimer on, so the generation-stamp
-#                  ABA detectors soak under injected reclamation
-#                  stalls. A failing seed replays bit-for-bit with
-#                  tools/fault-replay.sh
+#                  bounded completion; plus two debug seeds, so the
+#                  generation-stamp ABA detectors soak under injected
+#                  reclamation delays. A failing seed replays
+#                  bit-for-bit with tools/fault-replay.sh
 #   lin-long       long-history linearizability: every structure
 #                  records >= 2048-event rounds (LLX_LIN_EVENTS) and
 #                  the per-key-compositional JIT checker must accept
@@ -99,7 +92,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt build test pool-off debug-stress scanwin shard bg-reclaim doctest examples perfbench compare-smoke latency serve chaos lin-long bench-diff model audit clippy)
+ALL_STAGES=(fmt build test pool-off debug-stress scanwin shard doctest examples perfbench compare-smoke latency serve chaos lin-long bench-diff model audit clippy)
 QUICK_STAGES=(fmt build test)
 
 QUICK=0
@@ -237,21 +230,6 @@ stage_shard() {
         }'
 }
 
-stage_bg_reclaim() {
-    # Background-reclaimer mode with a deliberately small budget: the
-    # linearizability harness, the cross-structure stress laws and the
-    # SCX-record ledger drains must all survive a dedicated reclaimer
-    # thread racing the mutators (and flush_reclamation must still
-    # reach quiescence — the leak checks depend on it).
-    LLX_EPOCH_BG=1 LLX_EPOCH_BUDGET=8 LLX_STRESS_MILLIS=120 \
-        cargo test -q -p llx-scx-repro \
-        --test linearizability --test conc_stress --test scan_cursor --test pool_handoff
-    # The llx-scx suite too: reclaim/stress exercise the two-stage
-    # refcount protocol whose deferred closures now run off-thread.
-    LLX_EPOCH_BG=1 LLX_EPOCH_BUDGET=8 LLX_STRESS_MILLIS=200 \
-        cargo test -q -p llx-scx
-}
-
 stage_doctest() {
     cargo test -q --doc -p llx-scx
 }
@@ -339,24 +317,24 @@ stage_compare_smoke() {
 }
 
 stage_latency() {
-    # The lat table: every structure must appear in all 3 epoch modes
-    # x 2 mixes (6 rows), each data row carries 9 single-token fields,
-    # and the --json sidecar is written and non-trivial.
+    # The lat table: every structure must appear in 1 epoch mode x 2
+    # mixes (2 rows), each data row carries 9 single-token fields, and
+    # the --json sidecar is written and non-trivial.
     local out json structures s rows
     json="$(mktemp)"
     out="$(LLX_BENCH_CELL_MILLIS=15 \
         cargo run -q --release -p bench-harness -- lat --json "$json")"
     structures=(scx-multiset chromatic bst patricia kcas-multiset hoh-multiset coarse-multiset)
     for s in "${structures[@]}"; do
-        rows=$(grep -cE "^ *(inline|budgeted|bg) +[a-z0-9-]+ +$s " <<<"$out" || true)
-        if [[ "$rows" -ne 6 ]]; then
-            echo "lat table has $rows rows for structure '$s', expected 6 (3 modes x 2 mixes)" >&2
+        rows=$(grep -cE "^ *inline +[a-z0-9-]+ +$s " <<<"$out" || true)
+        if [[ "$rows" -ne 2 ]]; then
+            echo "lat table has $rows rows for structure '$s', expected 2 (1 mode x 2 mixes)" >&2
             echo "$out" >&2
             rm -f "$json"
             return 1
         fi
     done
-    if ! awk '/^ *(inline|budgeted|bg) +(mixed-40u|pipeline) / \
+    if ! awk '/^ *inline +(mixed-40u|pipeline) / \
         { if (NF != 9) { print "malformed lat row (" NF " fields): " $0; exit 1 } }' \
         <<<"$out"; then
         rm -f "$json"
@@ -369,7 +347,7 @@ stage_latency() {
         return 1
     fi
     rm -f "$json"
-    echo "    lat table: $((6 * ${#structures[@]})) rows, all structures in all modes, JSON sidecar ok"
+    echo "    lat table: $((2 * ${#structures[@]})) rows, all structures in both mixes, JSON sidecar ok"
 }
 
 stage_serve() {
@@ -417,16 +395,15 @@ stage_chaos() {
     # op-ledger conservation, at-most-once mutations, zero SCX-record
     # leaks and bounded completion, under `timeout` so a wedged retry
     # loop or session thread fails the stage instead of hanging CI.
-    # Debug leg: background-reclaimer mode, where `epoch.bg.stall`
-    # has a reclaimer thread to stall and the generation-stamp ABA
-    # detectors (debug_assertions only) watch the reclamation races.
+    # Debug leg: two seeds where the generation-stamp ABA detectors
+    # (debug_assertions only) watch the reclamation races.
     cargo build -q --release -p bench-harness
     LLX_CHAOS_RUNS=5 LLX_CHAOS_OPS=1500 \
         timeout 300 target/release/bench-harness chaos
     cargo build -q -p bench-harness
-    LLX_EPOCH_BG=1 LLX_CHAOS_RUNS=2 LLX_CHAOS_OPS=400 \
+    LLX_CHAOS_RUNS=2 LLX_CHAOS_OPS=400 \
         timeout 300 target/debug/bench-harness chaos
-    echo "    chaos: 5 release seeds + 2 debug bg-reclaim seeds survived"
+    echo "    chaos: 5 release seeds + 2 debug seeds survived"
 }
 
 stage_lin_long() {
@@ -543,7 +520,6 @@ run_stage pool-off stage_pool_off
 run_stage debug-stress stage_debug_stress
 run_stage scanwin stage_scanwin
 run_stage shard stage_shard
-run_stage bg-reclaim stage_bg_reclaim
 run_stage doctest stage_doctest
 run_stage examples stage_examples
 run_stage perfbench stage_perfbench

@@ -714,68 +714,40 @@ fn lat_cell(spec: &StructureSpec, threads: usize, range: u64, pipeline: bool) ->
     })
 }
 
-/// `lat` — per-operation tail latency across reclamation modes: every
-/// structure × {mixed, pipeline} mix × {inline, budgeted, background}
-/// epoch collection, p50/p99/p99.9/max per cell plus the cell's pool
-/// hit rate.
-///
-/// The mode is process-global and *monotone* (background is sticky),
-/// so modes are the outermost sweep: all inline cells run first, then
-/// the per-tick budget is capped (`LLX_EPOCH_BUDGET`, default 32),
-/// then the dedicated reclaimer thread takes over. If the process
-/// already started in background mode only that column runs. The
-/// interesting numbers are the inline column's p99.9/max — a mutator
-/// absorbing a whole ready batch inside `pin()` — against the bounded
-/// modes; and the pipeline mix's pool hit rate, which collapses
-/// without the cross-thread shard handoff (`LLX_SCX_HANDOFF=0` to
-/// A/B).
+/// `lat` — per-operation tail latency: every structure × {mixed,
+/// pipeline} mix, p50/p99/p99.9/max per cell plus the cell's pool hit
+/// rate. The `epoch` column names the collection mode (`inline`, the
+/// shim's only one) so rows stay comparable with earlier result files.
+/// The interesting numbers are the p99.9/max — a mutator absorbing a
+/// whole ready batch inside `pin()` — and the pipeline mix's pool hit
+/// rate, which the cross-thread shard handoff keeps up.
 pub fn lat() {
-    let budget = workloads::knobs::env_u64("LLX_EPOCH_BUDGET", 32).max(1) as usize;
-    let modes: &[&str] = if crossbeam_epoch::background_active() {
-        println!("\n(lat: process already in background-reclaimer mode; inline/budgeted columns unavailable)");
-        &["bg"]
-    } else {
-        &["inline", "budgeted", "bg"]
-    };
     let selected = conc_set::selected_specs();
     let range = 64u64;
     let mut rows = Vec::new();
-    for &mode in modes {
-        match mode {
-            "inline" => crossbeam_epoch::set_collect_budget(0),
-            "budgeted" => crossbeam_epoch::set_collect_budget(budget),
-            _ => {
-                crossbeam_epoch::set_collect_budget(0);
-                crossbeam_epoch::enable_background_reclaimer();
-            }
-        }
-        for &(mix_name, threads, pipeline) in &[("mixed-40u", 4, false), ("pipeline", 2, true)] {
-            for spec in &selected {
-                let probe = PoolProbe::start(spec);
-                let (ops, hist) = lat_cell(spec, threads, range, pipeline);
-                let pool = probe
-                    .hit_rate()
-                    .map(|r| format!("{:.1}%", r * 100.0))
-                    .unwrap_or_else(|| "-".to_string());
-                rows.push(vec![
-                    mode.to_string(),
-                    mix_name.to_string(),
-                    spec.to_string(),
-                    fmt_ops(ops),
-                    fmt_ns(hist.quantile(0.50)),
-                    fmt_ns(hist.quantile(0.99)),
-                    fmt_ns(hist.quantile(0.999)),
-                    fmt_ns(hist.max()),
-                    pool,
-                ]);
-            }
+    for &(mix_name, threads, pipeline) in &[("mixed-40u", 4, false), ("pipeline", 2, true)] {
+        for spec in &selected {
+            let probe = PoolProbe::start(spec);
+            let (ops, hist) = lat_cell(spec, threads, range, pipeline);
+            let pool = probe
+                .hit_rate()
+                .map(|r| format!("{:.1}%", r * 100.0))
+                .unwrap_or_else(|| "-".to_string());
+            rows.push(vec![
+                "inline".to_string(),
+                mix_name.to_string(),
+                spec.to_string(),
+                fmt_ops(ops),
+                fmt_ns(hist.quantile(0.50)),
+                fmt_ns(hist.quantile(0.99)),
+                fmt_ns(hist.quantile(0.999)),
+                fmt_ns(hist.max()),
+                pool,
+            ]);
         }
     }
     print_table(
-        &format!(
-            "lat: per-op latency by epoch-collection mode \
-             (budget {budget} closures/tick; pipeline = dedicated inserter + remover threads)"
-        ),
+        "lat: per-op latency (pipeline = dedicated inserter + remover threads)",
         &[
             "epoch".into(),
             "mix".into(),
@@ -789,7 +761,7 @@ pub fn lat() {
         ],
         &rows,
     );
-    println!("inline mode runs every ready deferred closure inside an unlucky pin(); budgeted caps the per-tick bite; bg moves collection to a dedicated reclaimer thread (sticky — the process stays in bg mode after this experiment). pool-hit is the cell's SCX-record pool hit rate; the pipeline mix exercises the cross-thread shard handoff (LLX_SCX_HANDOFF=0 disables for A/B)");
+    println!("every ready deferred closure runs inline inside an unlucky pin(); pool-hit is the cell's SCX-record pool hit rate; the pipeline mix exercises the cross-thread shard handoff");
 }
 
 /// One `scanwin` measurement: full-structure scans racing a fixed-rate
@@ -1118,12 +1090,10 @@ pub fn serve() {
 
 /// The fault mix `chaos` arms when `LLX_FAULT_SPEC` does not override
 /// it: rare hard wire faults (connection kills, torn frames), frequent
-/// soft ones (refused scans, starved pool, skipped collection ticks,
-/// stalled background reclaimer).
+/// soft ones (refused scans, starved pool, skipped collection ticks).
 const CHAOS_SPEC: &str = "scx.pool.alloc_miss=prob:0.05,\
                           scx.pool.steal_fail=prob:0.2,\
                           epoch.tick.skip=prob:0.25,\
-                          epoch.bg.stall=prob:0.05,\
                           net.conn.drop=prob:0.002,\
                           net.frame.torn=prob:0.002,\
                           net.scan.drop=prob:0.05";

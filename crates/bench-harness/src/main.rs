@@ -31,8 +31,7 @@ EXPERIMENTS:
              writer: retry work per scan/window, every structure,
              window-size x range sweep (LLX_SCAN_WINDOW pins one size)
     lat      per-op tail latency (p50/p99/p99.9/max, log2 histogram)
-             across epoch-collection modes (inline/budgeted/background)
-             and mixes (mixed, pipeline), every structure, with the
+             across mixes (mixed, pipeline), every structure, with the
              per-cell SCX-record pool hit rate
     serve    network service tier end to end: a loopback netsvc server
              over every selected spec, LLX_NET_CONNS client
@@ -67,9 +66,8 @@ ENVIRONMENT:
     LLX_SHARDS, the partition covers [0, LLX_SHARD_DOMAIN));
     LLX_BENCH_PAR=1 runs compare/scanwin sweep cells on parallel scoped
     threads (default off so 1-core baselines stay comparable);
-    LLX_BENCH_JSON=PATH mirrors --json; LLX_EPOCH_BUDGET sets the
-    budgeted-mode closures/tick for `lat`; see workloads::knobs for
-    the full knob list
+    LLX_BENCH_JSON=PATH mirrors --json; see workloads::knobs for the
+    full knob list
 
 OPTIONS:
     --json PATH   also write every experiment table + the pool
@@ -134,8 +132,6 @@ fn main() {
             experiments::e8_helping_stats();
             experiments::compare();
             experiments::scanwin();
-            // Last on purpose: `lat` flips the process into background
-            // reclamation (sticky), which would skew earlier cells.
             experiments::lat();
         }
         other => {

@@ -144,8 +144,8 @@ impl PoolStats {
     ///
     /// The counters are process-global, so a raw snapshot mixes every
     /// workload the process ever ran; deltas are how one phase is
-    /// A/B-compared against another (pool on/off, handoff on/off,
-    /// background vs inline collection) without a process restart:
+    /// A/B-compared against another (say, two structures, or two
+    /// mixes) without a process restart:
     ///
     /// ```
     /// let before = llx_scx::pool_stats();
@@ -256,18 +256,15 @@ pub fn reset_pool_stats() {
 ///
 /// Seals this thread's partially filled retirement batch, adopts records
 /// stranded by threads that exited mid-batch, and repeatedly flushes the
-/// epoch queue so deferred destructions run. When the epoch shim runs
-/// in background-reclaimer mode (`LLX_EPOCH_BG=1`), each round also
-/// waits for the reclaimer to complete a fresh drain cycle — its idle
-/// hook seals the batches that deferred closures staged in the
-/// reclaimer's own thread-locals — so the drain is deterministic in
-/// every collection mode. After all operations have ceased, all worker
-/// threads have joined and this has been called, [`live_scx_records`]
-/// drains back to its baseline (debug builds).
+/// epoch queue so deferred destructions run. Deferred closures run
+/// inline on whichever thread collects them, so the batches they
+/// re-stage from this thread's flushes land in this thread's pool lists,
+/// which the next round seals. After all operations have ceased, all
+/// worker threads have joined and this has been called,
+/// [`live_scx_records`] drains back to its baseline (debug builds).
 ///
 /// Intended for tests and teardown paths; never required for safety.
 pub fn flush_reclamation() {
-    pool::ensure_reclaimer_hook();
     for _ in 0..16 {
         // Drain the global queue to empty (bounded: concurrent churn
         // can legitimately keep refilling it — quiescence is only
@@ -284,9 +281,5 @@ pub fn flush_reclamation() {
                 break;
             }
         }
-        // Unpinned: our slot must not hold the reclaimer's cycle back.
-        // Its idle hook seals whatever its closures staged in the
-        // reclaimer's own thread-locals; the next round drains that.
-        crossbeam_epoch::reclaimer_quiesce();
     }
 }

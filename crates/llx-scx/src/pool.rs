@@ -75,10 +75,13 @@
 //!
 //! Set `LLX_SCX_POOL=0` to disable pooling and fall back to
 //! per-record defers (used for A/B benchmarking), `LLX_SCX_POOL_CAP`
-//! to change the per-thread free-list capacity, `LLX_SCX_HANDOFF=0`
-//! to disable the shard handoff (overflow frees to the allocator, the
-//! pre-handoff behavior), and `LLX_SCX_SHARD` to change the blocks
-//! per handoff shard.
+//! to change the per-thread free-list capacity, and `LLX_SCX_SHARD` to
+//! change the blocks per handoff shard.
+//!
+//! Every deferred batch matures on whichever thread's pin or flush
+//! collects it, inline; its re-staging lands in that thread's lists,
+//! which that thread seals at its next batch or at exit, or
+//! [`crate::flush_reclamation`] seals from the calling thread.
 
 use crate::sync::{AtomicU64, Mutex, Ordering};
 use std::alloc::Layout;
@@ -122,17 +125,6 @@ fn shard_blocks() -> usize {
 /// Upper bound on parked shards; beyond it, overflow blocks go back to
 /// the allocator so the handoff cannot hoard memory unboundedly.
 const MAX_PARKED_SHARDS: usize = 64;
-
-/// `LLX_SCX_HANDOFF=0` disables the shard handoff for A/B runs.
-fn handoff_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("LLX_SCX_HANDOFF").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
-}
 
 /// A published outbox: dead, layout-uniform blocks ready for adoption
 /// by any thread. The raw pointers are owned uniquely by the shard.
@@ -185,18 +177,13 @@ fn home_bucket() -> usize {
     current_affinity().unwrap_or(AFFINITY_DOMAINS)
 }
 
-/// Route one matured block that overflowed its thread's free list:
-/// into the outbox (publishing a full outbox as a shard) when the
-/// handoff is on, to the allocator otherwise.
+/// Route one matured block that overflowed its thread's free list
+/// into the outbox, publishing a full outbox as a shard.
 ///
 /// # Safety
 ///
 /// `p` must be a dead block of [`pool_layout`] owned by the caller.
 unsafe fn overflow(p: *mut u8) {
-    if !handoff_enabled() {
-        std::alloc::dealloc(p, pool_layout());
-        return;
-    }
     let sealed = POOL.try_with(|pool| {
         let mut pool = pool.borrow_mut();
         pool.outbox.push(p);
@@ -519,7 +506,7 @@ pub(crate) fn alloc<const M: usize, I>(record: ScxRecord<M, I>) -> *mut ScxRecor
                 // Local miss: adopt a whole parked shard (one lock, a
                 // shard's worth of future hits) before paying the
                 // allocator.
-                .or_else(|| handoff_enabled().then(steal_shard).flatten())
+                .or_else(steal_shard)
         };
         if let Some(block) = reused {
             POOL_HITS.fetch_add(1, Ordering::Relaxed); // ord: pool stats counter; no sync role
@@ -537,23 +524,6 @@ pub(crate) fn alloc<const M: usize, I>(record: ScxRecord<M, I>) -> *mut ScxRecor
     Box::into_raw(Box::new(record))
 }
 
-/// Register the epoch shim's reclaimer idle hook once: when deferred
-/// closures run on the background reclaimer thread (`LLX_EPOCH_BG=1`),
-/// the re-staging they trigger lands in *that* thread's `POOL` — and
-/// the reclaimer never exits, so without this hook partial batches
-/// would sit there forever, stranding records from every leak check.
-/// The hook is the reclaimer's analogue of seal-at-thread-exit.
-pub(crate) fn ensure_reclaimer_hook() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        crossbeam_epoch::set_reclaimer_idle_hook(|| {
-            let guard = crossbeam_epoch::pin();
-            seal_current_thread(&guard);
-            drain_orphans(&guard);
-        });
-    });
-}
-
 /// Stage a pending entry on one of the thread's lists; seal a batch
 /// when full. Falls back to one defer per record if the thread-local is
 /// gone (teardown) or pooling is disabled.
@@ -562,7 +532,6 @@ fn stage<const M: usize, I>(
     pick: fn(&mut ThreadPool) -> &mut Vec<Pending>,
     guard: &Guard,
 ) {
-    ensure_reclaimer_hook();
     if !poolable::<M, I>() {
         defer_batch(vec![entry], guard);
         return;

@@ -1,10 +1,18 @@
 //! Reclamation tests: every Data-record and every SCX-record is freed
 //! exactly once (the substrate substituting the paper's GC assumption).
+//!
+//! The SCX-record checks compare the process-global live-record count
+//! before and after a workload, so the tests in this binary serialize
+//! on a mutex: a sibling test's records, created or freed between one
+//! test's two samples, would otherwise show up as a leak or a deficit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use llx_scx::{Domain, FieldId, ScxRequest};
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Immutable payload whose drop increments a counter, so tests can count
 /// Data-record destructions.
@@ -25,16 +33,28 @@ fn drain_epochs() {
     }
 }
 
-/// A clean live-record baseline: drain residue from earlier tests (each
-/// test runs on its own thread, so a finished test's partial retirement
-/// batch is parked on the orphan list until adopted) before sampling.
+/// A clean live-record baseline: drain residue from earlier tests before
+/// sampling. Each test runs on its own thread, and a finished test's
+/// thread may still be running its thread-local destructors (parking
+/// its partial retirement batch on the orphan list) when the next test
+/// starts, so drain until the count holds still across a short pause.
 fn baseline() -> Option<isize> {
-    drain_epochs();
-    llx_scx::live_scx_records()
+    let mut last = None;
+    for _ in 0..100 {
+        drain_epochs();
+        let now = llx_scx::live_scx_records();
+        if now == last {
+            break;
+        }
+        last = now;
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    last
 }
 
 #[test]
 fn every_data_record_dropped_exactly_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let drops = Arc::new(AtomicUsize::new(0));
     let domain: Domain<1, DropCounter> = Domain::new();
     const N: usize = 100;
@@ -53,6 +73,7 @@ fn every_data_record_dropped_exactly_once() {
 
 #[test]
 fn scx_records_do_not_leak_single_threaded() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = baseline();
     {
         let domain: Domain<1, u64> = Domain::new();
@@ -76,6 +97,7 @@ fn scx_records_do_not_leak_single_threaded() {
 
 #[test]
 fn scx_records_do_not_leak_multi_threaded() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // Run a contended workload (helping, aborts, finalization), then
     // check the live SCX-record count returns to its baseline.
     let baseline = baseline();

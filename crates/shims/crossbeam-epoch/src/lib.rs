@@ -2,85 +2,66 @@
 //!
 //! The build environment has no access to crates.io, so this crate
 //! implements the subset of the `crossbeam-epoch` API the workspace uses
-//! — [`pin`], [`Guard`], [`Guard::defer_unchecked`] and [`Guard::flush`]
-//! — backed by a real (if simple) global-epoch reclamation scheme:
+//! — [`Collector`], [`LocalHandle`], [`pin`], [`Guard`],
+//! [`Guard::defer_unchecked`] and [`Guard::flush`] — backed by a real
+//! (if simple) epoch reclamation scheme. Each collector owns:
 //!
-//! * a global epoch counter;
-//! * one registered slot per participating thread publishing the epoch
+//! * an epoch counter;
+//! * one registered slot per participating handle publishing the epoch
 //!   it pinned at (or "inactive");
-//! * per-thread *bags* of deferred closures, each tagged with the epoch
+//! * per-handle *bags* of deferred closures, each tagged with the epoch
 //!   at which it was deferred — the defer hot path touches only
 //!   thread-local state, so the non-blocking primitives built on top
 //!   are not serialized through a shared lock;
-//! * a mutex-protected global queue that bags are batch-drained into
-//!   (when a bag fills, on [`Guard::flush`], on the periodic collection
-//!   tick, and at thread exit).
+//! * a mutex-protected queue that bags are batch-drained into (when a
+//!   bag fills, on [`Guard::flush`], on the periodic collection tick,
+//!   and when the handle is dropped — at thread exit for [`pin`]'s).
 //!
-//! A queued closure runs once every currently-pinned thread is pinned at
+//! A queued closure runs once every currently-pinned handle is pinned at
 //! a *later* epoch than its tag, which implies no thread that could
 //! still reach the retired object remains pinned. Collection is
-//! amortized into [`pin`] (every [`COLLECT_EVERY`]-th outermost pin
-//! advances the epoch and runs ready closures), so long-running
-//! processes reclaim memory without ever calling [`Guard::flush`];
-//! `flush` remains the way tests drain deterministically.
+//! amortized into pinning (every [`COLLECT_EVERY`]-th outermost pin
+//! advances the epoch and runs every ready closure inline), so
+//! long-running processes reclaim memory without ever calling
+//! [`Guard::flush`]; `flush` remains the way tests drain
+//! deterministically.
 //!
 //! Deferred closures may themselves pin and defer (the SCX-record
 //! reclamation protocol relies on this); the collector runs closures
 //! outside all internal locks and thread-local borrows to keep that
 //! re-entrancy safe.
 //!
-//! # Bounding the mutator's collection cost
+//! # Collectors and the default instance
 //!
-//! By default a collection tick inside [`pin`] runs *every* ready
-//! closure inline — under churn one unlucky operation can absorb an
-//! entire batch that built up while a peer was pinned (or descheduled).
-//! Two opt-in modes bound that tail, selected by environment variables
-//! read at first use and adjustable at runtime:
-//!
-//! * **Budgeted** (`LLX_EPOCH_BUDGET=N`, [`set_collect_budget`]): each
-//!   amortized tick runs at most `N` ready closures; the remainder
-//!   stays queued for later ticks. Reclamation throughput is unchanged
-//!   (ticks are frequent), only the per-tick bite is capped.
-//! * **Background** (`LLX_EPOCH_BG=1`, [`enable_background_reclaimer`]):
-//!   a dedicated reclaimer thread owns collection. Amortized ticks
-//!   shrink to "seal the bag and nudge the reclaimer" — no mutator
-//!   ever runs a deferred closure from `pin` — and the reclaimer
-//!   drains the queue in budgeted passes, also self-waking on a short
-//!   timeout so ready work never waits on the next tick. Background
-//!   mode is sticky for the process (the thread parks when idle).
-//!
-//! Neither mode weakens the safety rule: a closure still only runs
-//! once its tag is strictly older than every pinned thread (and than
-//! the epoch the collection installs — the TOCTOU bound). And
-//! [`Guard::flush`] keeps its deterministic contract in every mode: it
-//! collects inline with no budget *and waits for closures detached by
-//! other collectors (the reclaimer included) to finish*, so
-//! `flush`-loop drains still reach quiescence exactly as before.
+//! A [`Collector`] is an owned epoch domain: a thread joins it with
+//! [`Collector::register`] and pins through the returned
+//! [`LocalHandle`]. Pins on one collector never hold back another's
+//! reclamation. The free functions [`pin`], [`queued_reclaims`] and
+//! [`collect_now`] act on one lazily created default collector, on which
+//! every thread registers at its first `pin`; that is the instance the
+//! product crates use. A test that asserts whether a closure ran owns a
+//! `Collector`, so no thread pinned elsewhere in the process can delay
+//! or reorder what it observes.
 
 #![warn(missing_docs)]
 
-use crate::sync::{fence, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+use crate::sync::{fence, AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
-use std::marker::PhantomData;
-use std::sync::{Arc, Condvar, Once, OnceLock};
+use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 pub(crate) mod sync;
-use std::time::Duration;
 
-/// Slot value meaning "this thread is not pinned".
+/// Slot value meaning "this handle is not pinned".
 const INACTIVE: u64 = u64::MAX;
 
-/// Batch-drain a thread's bag into the global queue at this size.
+/// Batch-drain a handle's bag into its collector's queue at this size.
 const BAG_FLUSH: usize = 64;
 
-/// Run a collection on every Nth outermost [`pin`].
+/// Run a collection on every Nth outermost pin of a handle.
 const COLLECT_EVERY: u64 = 64;
-
-/// The background reclaimer's self-wake interval: ready work whose
-/// epoch expired between ticks is picked up at most this much later.
-const BG_IDLE_WAKE: Duration = Duration::from_millis(1);
 
 struct Slot {
     epoch: AtomicU64,
@@ -92,236 +73,159 @@ struct Slot {
 struct Deferred(Box<dyn FnOnce()>);
 unsafe impl Send for Deferred {}
 
+/// The state one [`Collector`] owns, shared by its clones and by every
+/// handle registered on it.
 struct Global {
     epoch: AtomicU64,
     slots: Mutex<Vec<Arc<Slot>>>,
     queue: Mutex<VecDeque<(u64, Deferred)>>,
+    /// Closures detached by some collection but not yet finished
+    /// running. [`Guard::flush`] waits on this.
+    in_flight: AtomicUsize,
 }
 
-fn global() -> &'static Global {
-    static GLOBAL: OnceLock<Global> = OnceLock::new();
-    GLOBAL.get_or_init(|| Global {
-        epoch: AtomicU64::new(0),
-        slots: Mutex::new(Vec::new()),
-        queue: Mutex::new(VecDeque::new()),
-    })
+/// An epoch domain: the epoch counter, the registry of pinned handles
+/// and the queue of deferred closures. Clones share one domain.
+#[derive(Clone)]
+pub struct Collector {
+    global: Arc<Global>,
 }
 
-/// Collection-mode configuration, env-initialized and runtime-tunable.
-struct Config {
-    /// Max closures per collection tick; `0` means unbounded.
-    budget: AtomicUsize,
-    /// Whether the dedicated background reclaimer owns amortized
-    /// collection (sticky once set).
-    background: AtomicBool,
-}
-
-fn config() -> &'static Config {
-    static CONFIG: OnceLock<Config> = OnceLock::new();
-    CONFIG.get_or_init(|| {
-        let budget = std::env::var("LLX_EPOCH_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0usize);
-        let background = matches!(
-            std::env::var("LLX_EPOCH_BG").as_deref(),
-            Ok("1") | Ok("on") | Ok("true")
-        );
-        Config {
-            budget: AtomicUsize::new(budget),
-            background: AtomicBool::new(background),
+impl Collector {
+    /// A fresh collector with no registered handles.
+    pub fn new() -> Self {
+        Collector {
+            global: Arc::new(Global {
+                epoch: AtomicU64::new(0),
+                slots: Mutex::new(Vec::new()),
+                queue: Mutex::new(VecDeque::new()),
+                in_flight: AtomicUsize::new(0),
+            }),
         }
-    })
+    }
+
+    /// Register the calling thread with this collector. Dropping the
+    /// handle (after its guards) hands its bag to the collector's queue
+    /// and deregisters its slot.
+    pub fn register(&self) -> LocalHandle {
+        let slot = Arc::new(Slot {
+            epoch: AtomicU64::new(INACTIVE),
+        });
+        self.global.slots.lock().unwrap().push(Arc::clone(&slot));
+        LocalHandle {
+            local: Rc::new(Local {
+                global: Arc::clone(&self.global),
+                slot,
+                pins: Cell::new(0),
+                total_pins: Cell::new(0),
+                bag: RefCell::new(Vec::new()),
+            }),
+        }
+    }
 }
 
-/// Set the per-tick collection budget (`0` = unbounded, the default).
-/// Shim extension over the real crossbeam-epoch API: initialized from
-/// `LLX_EPOCH_BUDGET`, runtime-tunable so one process can A/B modes.
-/// [`Guard::flush`] always collects without a budget.
-pub fn set_collect_budget(budget: usize) {
-    config().budget.store(budget, Ordering::Relaxed); // ord: config knob; no sync role
+impl Default for Collector {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
-/// The current per-tick collection budget (`0` = unbounded).
-pub fn collect_budget() -> usize {
-    config().budget.load(Ordering::Relaxed) // ord: config knob; no sync role
+/// A thread's registration with a [`Collector`]. Not `Send`: its guards
+/// unpin through state only this thread touches.
+pub struct LocalHandle {
+    local: Rc<Local>,
 }
 
-/// Closures queued for reclamation right now (global queue only; bags
-/// still thread-local are not counted). Shim extension, for tests and
-/// observability.
+impl LocalHandle {
+    /// Pin this handle: publish the collector's epoch into its slot and
+    /// return a [`Guard`] that keeps it published. Re-entrant; only the
+    /// outermost pin writes the slot. Every [`COLLECT_EVERY`]-th
+    /// outermost pin also runs a collection (while still unpinned),
+    /// which bounds the memory held by deferred destructions without
+    /// any explicit [`Guard::flush`].
+    pub fn pin(&self) -> Guard {
+        let local = &self.local;
+        if local.pins.get() == 0 {
+            let total = local.total_pins.get().wrapping_add(1);
+            local.total_pins.set(total);
+            // Injected collect delay: skip this amortized tick — the
+            // bag stays buffered and garbage ages, exactly a stalled
+            // collector. `Guard::flush`/`collect_now` are deliberately
+            // not injectable: deterministic drains (leak checks,
+            // `flush_reclamation`) must stay deterministic.
+            if total.is_multiple_of(COLLECT_EVERY) && !faultpoint::fire("epoch.tick.skip") {
+                // Not yet pinned: our own slot does not hold back the
+                // collection, and re-entrant pins from closures nest
+                // above pins == 0 correctly.
+                local.seal_bag();
+                local.global.collect();
+            }
+            // Publish the epoch, then re-check it: if the epoch moved
+            // while we were publishing, a concurrent collector may have
+            // missed our slot, so publish the newer value instead.
+            let global = &local.global;
+            loop {
+                let e = global.epoch.load(Ordering::SeqCst); // ord: SC pin: epoch read before announce
+                local.slot.epoch.store(e, Ordering::SeqCst); // ord: SC pin: announce slot epoch
+                fence(Ordering::SeqCst); // ord: SC store-load fence; announce must precede re-read
+                if global.epoch.load(Ordering::SeqCst) == e {
+                    // ord: SC pin: validate epoch after announce
+                    break;
+                }
+            }
+        }
+        local.pins.set(local.pins.get() + 1);
+        Guard {
+            local: Rc::clone(local),
+        }
+    }
+}
+
+/// The process-wide collector behind [`pin`], [`queued_reclaims`] and
+/// [`collect_now`].
+fn default_collector() -> &'static Collector {
+    static DEFAULT: OnceLock<Collector> = OnceLock::new();
+    DEFAULT.get_or_init(Collector::new)
+}
+
+thread_local! {
+    /// This thread's registration with the default collector; dropped
+    /// at thread exit, which seals its bag.
+    static HANDLE: LocalHandle = default_collector().register();
+}
+
+/// Pin the current thread on the default collector (see
+/// [`LocalHandle::pin`]).
+pub fn pin() -> Guard {
+    HANDLE.with(LocalHandle::pin)
+}
+
+/// Closures queued for reclamation right now on the default collector
+/// (bags still held by handles are not counted). Shim extension, for
+/// tests and observability.
 pub fn queued_reclaims() -> usize {
-    global().queue.lock().unwrap().len()
+    default_collector().global.queue.lock().unwrap().len()
 }
 
-/// Run one unbudgeted collection from the calling thread *without*
-/// pinning it first. Shim extension for the model-checking scenarios:
-/// the interesting pin/collect races need a collector that is not
-/// itself protected by a pin, which `Guard::flush` (pin-then-collect)
-/// can never express. Returns how many deferred closures ran.
+/// Run one collection on the default collector from the calling thread
+/// *without* pinning it first. Shim extension for the model-checking
+/// scenarios: the interesting pin/collect races need a collector that
+/// is not itself protected by a pin, which `Guard::flush`
+/// (pin-then-collect) can never express. Returns how many deferred
+/// closures ran.
 pub fn collect_now() -> usize {
-    collect_budgeted(usize::MAX)
+    default_collector().global.collect()
 }
-
-/// Closures detached by some collector but not yet finished running.
-/// [`Guard::flush`] waits on this; exposed for tests.
-static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Depth of deferred closures currently running on this thread; a
-    /// `flush` from inside one must not wait for `IN_FLIGHT` to reach
+    /// `flush` from inside one must not wait for `in_flight` to reach
     /// zero (it includes the closure itself).
     static RUNNING_CLOSURES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Background reclaimer: a parked thread nudged by amortized ticks.
-struct BgReclaimer {
-    pending: std::sync::Mutex<bool>,
-    wake: Condvar,
-}
-
-fn bg() -> &'static BgReclaimer {
-    static BG: OnceLock<BgReclaimer> = OnceLock::new();
-    BG.get_or_init(|| BgReclaimer {
-        pending: std::sync::Mutex::new(false),
-        wake: Condvar::new(),
-    })
-}
-
-/// Whether the background reclaimer owns amortized collection.
-pub fn background_active() -> bool {
-    config().background.load(Ordering::Relaxed) // ord: config knob; no sync role
-}
-
-/// Hook run by the background reclaimer at the end of every drain
-/// cycle, on the reclaimer thread itself. Deferred closures that run
-/// on the reclaimer may buffer work in *its* thread-locals (the
-/// SCX-record pool stages retirement batches that way); since the
-/// reclaimer never exits and no other thread can reach those
-/// thread-locals, this hook is the reclaimer's substitute for the
-/// seal-at-thread-exit path. First registration wins; the hook must
-/// be cheap when there is nothing to seal.
-static IDLE_HOOK: OnceLock<fn()> = OnceLock::new();
-
-/// Register the reclaimer's end-of-cycle hook (shim extension; see
-/// [`IDLE_HOOK`]'s comment). Later registrations are ignored.
-pub fn set_reclaimer_idle_hook(hook: fn()) {
-    let _ = IDLE_HOOK.set(hook);
-}
-
-/// Completed reclaimer drain cycles, for [`reclaimer_quiesce`].
-static BG_CYCLES: AtomicU64 = AtomicU64::new(0);
-
-/// Wait until the background reclaimer has completed a full drain
-/// cycle (drain + idle hook) that *started after* this call — i.e.
-/// any work it was holding when we were called has been flushed
-/// through its hook. No-op when background mode is off. Teardown/test
-/// helper for deterministic drains; never needed for safety.
-pub fn reclaimer_quiesce() {
-    if !background_active() {
-        return;
-    }
-    ensure_bg_thread();
-    let start = BG_CYCLES.load(Ordering::SeqCst); // ord: SC handshake with the background thread
-    bg_notify();
-    // +2: cycle start+1 may already have been mid-flight when we
-    // loaded; start+2 must have begun after our nudge.
-    while BG_CYCLES.load(Ordering::SeqCst) < start + 2 {
-        // ord: SC handshake with the background thread
-        bg_notify();
-        std::thread::yield_now();
-    }
-}
-
-/// Switch amortized collection to the dedicated background reclaimer
-/// thread (idempotent; sticky for the process). Shim extension over
-/// the real crossbeam-epoch API; env equivalent `LLX_EPOCH_BG=1`.
-/// Explicit [`Guard::flush`] calls still collect inline so tests keep
-/// their deterministic drain.
-pub fn enable_background_reclaimer() {
-    config().background.store(true, Ordering::Relaxed); // ord: config knob; no sync role
-    ensure_bg_thread();
-}
-
-fn ensure_bg_thread() {
-    static STARTED: Once = Once::new();
-    STARTED.call_once(|| {
-        std::thread::Builder::new()
-            .name("llx-epoch-reclaimer".into())
-            .spawn(bg_loop)
-            .expect("spawn background reclaimer");
-    });
-}
-
-/// The reclaimer body: park until nudged (or the idle-wake timeout),
-/// then run budgeted collection passes until no closure is ready.
-/// Never exits — it parks unpinned when idle, so it cannot hold the
-/// epoch back, and process teardown reaps it like any daemon thread.
-fn bg_loop() {
-    loop {
-        {
-            let state = bg();
-            let mut pending = state.pending.lock().unwrap();
-            while !*pending {
-                let (guard, timeout) = state.wake.wait_timeout(pending, BG_IDLE_WAKE).unwrap();
-                pending = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            *pending = false;
-        }
-        // A panicking closure must not kill the reclaimer: inline mode
-        // surfaces such a panic on the mutator, but here it would die
-        // silently, no thread would ever collect again, and
-        // reclaimer_quiesce would hang every flush_reclamation caller.
-        // The InFlightGuard already restores the counters on unwind;
-        // report and keep the loop alive.
-        // Injected reclaimer stall: sleep before the drain pass so
-        // garbage visibly ages while mutators keep pinning. Bounded (2
-        // ms per fire) and outside the cycle accounting, so
-        // `reclaimer_quiesce` still terminates — just later.
-        if faultpoint::fire("epoch.bg.stall") {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let cycle = std::panic::catch_unwind(|| {
-            // Drain in budgeted passes: each pass advances the epoch,
-            // so closures deferred during the drain become ready
-            // without waiting for another nudge.
-            loop {
-                let budget = collect_budget();
-                let ran = collect_budgeted(if budget == 0 { usize::MAX } else { budget });
-                if ran == 0 {
-                    break;
-                }
-            }
-            // Seal anything the drained closures buffered in this
-            // thread's locals before publishing cycle completion.
-            if let Some(hook) = IDLE_HOOK.get() {
-                hook();
-            }
-            // The closures' own re-defers land in the *reclaimer's*
-            // bag, and this thread pins far too rarely for the
-            // amortized bag-seal tick: seal explicitly every cycle, or
-            // next-stage work would strand here between cycles.
-            let _ = LOCAL.try_with(Local::seal_bag);
-        });
-        if cycle.is_err() {
-            eprintln!("llx-epoch-reclaimer: a deferred closure panicked; reclamation continues");
-        }
-        BG_CYCLES.fetch_add(1, Ordering::SeqCst); // ord: SC handshake with wait_for_bg_cycles
-    }
-}
-
-/// Nudge the background reclaimer (amortized tick in background mode).
-fn bg_notify() {
-    ensure_bg_thread();
-    let state = bg();
-    *state.pending.lock().unwrap() = true;
-    state.wake.notify_one();
-}
-
 struct Local {
+    global: Arc<Global>,
     slot: Arc<Slot>,
     pins: Cell<usize>,
     total_pins: Cell<u64>,
@@ -329,25 +233,26 @@ struct Local {
 }
 
 impl Local {
-    /// Move the bag's contents to the global queue (one lock
+    /// Move the bag's contents to the collector's queue (one lock
     /// acquisition per batch). Must not be called with `bag` borrowed.
     fn seal_bag(&self) {
         let items = std::mem::take(&mut *self.bag.borrow_mut());
         if !items.is_empty() {
-            global().queue.lock().unwrap().extend(items);
+            self.global.queue.lock().unwrap().extend(items);
         }
     }
 }
 
 impl Drop for Local {
     fn drop(&mut self) {
-        // Thread exit: hand any stranded deferred closures to the
-        // global queue so another thread's collection can run them, and
-        // deregister the slot so the registry (scanned by every
-        // collection while holding its mutex) does not grow with every
-        // thread ever spawned.
+        // Last handle or guard gone (thread exit, for the default
+        // collector): hand any stranded deferred closures to the queue
+        // so another handle's collection can run them, and deregister
+        // the slot so the registry (scanned by every collection while
+        // holding its mutex) does not grow with every thread ever
+        // spawned.
         self.seal_bag();
-        global()
+        self.global
             .slots
             .lock()
             .unwrap()
@@ -355,30 +260,15 @@ impl Drop for Local {
     }
 }
 
-thread_local! {
-    static LOCAL: Local = {
-        let slot = Arc::new(Slot {
-            epoch: AtomicU64::new(INACTIVE),
-        });
-        global().slots.lock().unwrap().push(Arc::clone(&slot));
-        Local {
-            slot,
-            pins: Cell::new(0),
-            total_pins: Cell::new(0),
-            bag: RefCell::new(Vec::new()),
-        }
-    };
-}
-
-/// A handle keeping the current thread pinned to an epoch.
+/// A handle keeping its [`LocalHandle`] pinned to an epoch.
 ///
-/// While any `Guard` of a thread is alive, no object retired at this or
-/// a later epoch is destroyed, so shared pointers read under the guard
-/// stay dereferenceable.
+/// While any `Guard` of a handle is alive, no object retired at this or
+/// a later epoch of its collector is destroyed, so shared pointers read
+/// under the guard stay dereferenceable. The guard keeps its handle's
+/// registration alive, so it may outlive the handle (or the thread's
+/// default handle, during thread teardown).
 pub struct Guard {
-    /// Guards unpin through thread-local state, so they must stay on the
-    /// thread that created them.
-    _not_send: PhantomData<*mut ()>,
+    local: Rc<Local>,
 }
 
 impl fmt::Debug for Guard {
@@ -387,62 +277,12 @@ impl fmt::Debug for Guard {
     }
 }
 
-/// Pin the current thread: publish the global epoch into this thread's
-/// slot and return a [`Guard`] that keeps it published. Re-entrant; only
-/// the outermost pin writes the slot. Every [`COLLECT_EVERY`]-th
-/// outermost pin also runs a collection (while still unpinned), which
-/// bounds the memory held by deferred destructions without any explicit
-/// [`Guard::flush`].
-pub fn pin() -> Guard {
-    LOCAL.with(|local| {
-        let pins = local.pins.get();
-        if pins == 0 {
-            let total = local.total_pins.get().wrapping_add(1);
-            local.total_pins.set(total);
-            // Injected collect delay: skip this amortized tick — the
-            // bag stays buffered and garbage ages, exactly a stalled
-            // reclaimer. `Guard::flush`/`collect_now` are deliberately
-            // not injectable: deterministic drains (leak checks,
-            // `flush_reclamation`) must stay deterministic.
-            if total % COLLECT_EVERY == 0 && !faultpoint::fire("epoch.tick.skip") {
-                // Not yet pinned: our own slot does not hold back the
-                // collection, and re-entrant pins from closures nest
-                // above pins == 0 correctly.
-                local.seal_bag();
-                if background_active() {
-                    // The reclaimer owns collection: the mutator's
-                    // whole tick is one lock + notify.
-                    bg_notify();
-                } else {
-                    let budget = collect_budget();
-                    collect_budgeted(if budget == 0 { usize::MAX } else { budget });
-                }
-            }
-            // Publish the epoch, then re-check it: if the global epoch
-            // moved while we were publishing, a concurrent collector may
-            // have missed our slot, so publish the newer value instead.
-            loop {
-                let e = global().epoch.load(Ordering::SeqCst); // ord: SC pin: epoch read before announce
-                local.slot.epoch.store(e, Ordering::SeqCst); // ord: SC pin: announce slot epoch
-                fence(Ordering::SeqCst); // ord: SC store-load fence; announce must precede re-read
-                if global().epoch.load(Ordering::SeqCst) == e {
-                    // ord: SC pin: validate epoch after announce
-                    break;
-                }
-            }
-        }
-        local.pins.set(local.pins.get() + 1);
-    });
-    Guard {
-        _not_send: PhantomData,
-    }
-}
-
 impl Guard {
-    /// Defer a closure until every thread currently pinned has unpinned.
+    /// Defer a closure until every handle currently pinned on this
+    /// guard's collector has unpinned.
     ///
-    /// The closure lands in this thread's local bag (no shared lock);
-    /// full bags are batch-drained into the global queue.
+    /// The closure lands in the handle's local bag (no shared lock);
+    /// full bags are batch-drained into the collector's queue.
     ///
     /// # Safety
     ///
@@ -454,7 +294,7 @@ impl Guard {
     where
         F: FnOnce() -> R,
     {
-        let epoch = global().epoch.load(Ordering::SeqCst); // ord: SC epoch read stamps the deferred node
+        let epoch = self.local.global.epoch.load(Ordering::SeqCst); // ord: SC epoch read stamps the deferred node
         let boxed: Box<dyn FnOnce() + '_> = Box::new(move || {
             let _ = f();
         });
@@ -464,40 +304,31 @@ impl Guard {
         // accepts non-'static closures here.
         let boxed: Box<dyn FnOnce()> =
             std::mem::transmute::<Box<dyn FnOnce() + '_>, Box<dyn FnOnce() + 'static>>(boxed);
-        let mut item = Some((epoch, Deferred(boxed)));
-        let _ = LOCAL.try_with(|local| {
-            let full = {
-                let mut bag = local.bag.borrow_mut();
-                bag.push(item.take().expect("item pushed at most once"));
-                bag.len() >= BAG_FLUSH
-            };
-            if full {
-                local.seal_bag();
-            }
-        });
-        if let Some(stranded) = item {
-            // Thread-local already destroyed (defer during thread
-            // teardown): queue globally so the closure still runs.
-            global().queue.lock().unwrap().push_back(stranded);
+        let full = {
+            let mut bag = self.local.bag.borrow_mut();
+            bag.push((epoch, Deferred(boxed)));
+            bag.len() >= BAG_FLUSH
+        };
+        if full {
+            self.local.seal_bag();
         }
     }
 
-    /// Seal this thread's bag, advance the global epoch and run every
-    /// queued closure whose epoch is now strictly older than all pinned
-    /// threads'.
+    /// Seal this handle's bag, advance the collector's epoch and run
+    /// every queued closure whose epoch is now strictly older than all
+    /// pinned handles'.
     ///
     /// Repeatedly calling `pin().flush()` drains the queue: each call
     /// pins at a fresh epoch, so older tags fall below the minimum.
-    /// `flush` ignores the collection budget and — unless called from
-    /// inside a deferred closure — waits for closures detached by
-    /// concurrent collectors (the background reclaimer included) to
-    /// finish, so its deterministic-drain contract holds in every
-    /// collection mode.
+    /// Unless called from inside a deferred closure, `flush` also waits
+    /// for closures detached by concurrent collections to finish, so a
+    /// `flush` loop reaches quiescence deterministically.
     pub fn flush(&self) {
-        let _ = LOCAL.try_with(Local::seal_bag);
-        collect_budgeted(usize::MAX);
+        self.local.seal_bag();
+        let global = &self.local.global;
+        global.collect();
         if RUNNING_CLOSURES.with(Cell::get) == 0 {
-            while IN_FLIGHT.load(Ordering::SeqCst) > 0 {
+            while global.in_flight.load(Ordering::SeqCst) > 0 {
                 // ord: SC drain handshake with executors
                 std::thread::yield_now();
             }
@@ -507,134 +338,170 @@ impl Guard {
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        // `try_with`: guards dropped during thread teardown must not
-        // re-initialize the destroyed thread-local.
-        let _ = LOCAL.try_with(|local| {
-            let pins = local.pins.get();
-            debug_assert!(pins > 0, "unpinning an unpinned thread");
-            if pins == 1 {
-                local.slot.epoch.store(INACTIVE, Ordering::SeqCst); // ord: SC unpin announcement
-            }
-            local.pins.set(pins - 1);
-        });
+        let local = &self.local;
+        let pins = local.pins.get();
+        debug_assert!(pins > 0, "unpinning an unpinned handle");
+        if pins == 1 {
+            local.slot.epoch.store(INACTIVE, Ordering::SeqCst); // ord: SC unpin announcement
+        }
+        local.pins.set(pins - 1);
     }
 }
 
-/// Advance the global epoch and run up to `max_run` ready queued
-/// closures (the rest stay queued, in order). Returns how many ran.
-fn collect_budgeted(max_run: usize) -> usize {
-    let g = global();
-    let epoch_now = g.epoch.fetch_add(1, Ordering::SeqCst) + 1; // ord: SC epoch advance; collectors race on this
-    let min_pinned = {
-        let slots = g.slots.lock().unwrap();
-        slots
-            .iter()
-            .map(|s| s.epoch.load(Ordering::SeqCst)) // ord: SC scan of pinned slots; pairs with pin announce
-            .min()
-            .unwrap_or(INACTIVE)
-    };
-    // A closure may run only when its tag is strictly older than every
-    // pinned thread AND strictly older than the epoch this collection
-    // just created. The second bound closes a TOCTOU: a thread pinning
-    // concurrently with the slot scan above can be missed by it, but
-    // such a thread always publishes `epoch_now` (the pin verify loop
-    // re-checks the counter), so anything it could still reach was
-    // deferred with tag >= epoch_now and stays queued.
-    #[cfg(not(llx_model_bugs))]
-    let limit = min_pinned.min(epoch_now);
-    // Model-checker regression gate: reopen the TOCTOU by dropping the
-    // `epoch_now` bound, so a pin racing the slot scan above is unprotected.
-    #[cfg(llx_model_bugs)]
-    let limit = {
-        let _ = epoch_now;
-        min_pinned
-    };
-    // Detach the ready closures first, then run them with no lock or
-    // thread-local borrow held: closures may re-enter
-    // pin/defer_unchecked/flush. `IN_FLIGHT` covers the
-    // detached-but-unfinished window so a concurrent `flush` cannot
-    // declare quiescence while this collector still holds work.
-    //
-    // The scan stops at the first non-ready item (head-of-line, like
-    // the real crossbeam-epoch's bag queue): per-thread tags are
-    // non-decreasing, so the queue is *approximately* oldest-first and
-    // a ready item stuck behind a blocked head just waits for the next
-    // collection. The payoff is that a budgeted tick costs
-    // O(budget), not O(queue) — scanning (popping and re-queuing) the
-    // whole backlog on every tick is exactly the unbounded mutator
-    // bite the budget exists to prevent.
-    let ready: Vec<Deferred> = {
-        let mut queue = g.queue.lock().unwrap();
-        let mut ready = Vec::new();
-        while ready.len() < max_run {
-            match queue.front() {
-                Some((epoch, _)) if *epoch < limit => {
-                    let (_, d) = queue.pop_front().expect("front was Some");
-                    ready.push(d);
+impl Global {
+    /// Advance the epoch and run every ready queued closure. Returns
+    /// how many ran.
+    fn collect(&self) -> usize {
+        let epoch_now = self.epoch.fetch_add(1, Ordering::SeqCst) + 1; // ord: SC epoch advance; collectors race on this
+        let min_pinned = {
+            let slots = self.slots.lock().unwrap();
+            slots
+                .iter()
+                .map(|s| s.epoch.load(Ordering::SeqCst)) // ord: SC scan of pinned slots; pairs with pin announce
+                .min()
+                .unwrap_or(INACTIVE)
+        };
+        // A closure may run only when its tag is strictly older than
+        // every pinned handle AND strictly older than the epoch this
+        // collection just created. The second bound closes a TOCTOU: a
+        // handle pinning concurrently with the slot scan above can be
+        // missed by it, but such a handle always publishes `epoch_now`
+        // (the pin verify loop re-checks the counter), so anything it
+        // could still reach was deferred with tag >= epoch_now and stays
+        // queued.
+        #[cfg(not(llx_model_bugs))]
+        let limit = min_pinned.min(epoch_now);
+        // Model-checker regression gate: reopen the TOCTOU by dropping the
+        // `epoch_now` bound, so a pin racing the slot scan above is unprotected.
+        #[cfg(llx_model_bugs)]
+        let limit = {
+            let _ = epoch_now;
+            min_pinned
+        };
+        // Detach the ready closures first, then run them with no lock or
+        // thread-local borrow held: closures may re-enter
+        // pin/defer_unchecked/flush. `in_flight` covers the
+        // detached-but-unfinished window so a concurrent `flush` cannot
+        // declare quiescence while this collection still holds work.
+        //
+        // The scan stops at the first non-ready item (head-of-line, like
+        // the real crossbeam-epoch's bag queue): per-handle tags are
+        // non-decreasing, so the queue is *approximately* oldest-first
+        // and a ready item stuck behind a blocked head just waits for the
+        // next collection. A tick therefore costs O(ready), never a
+        // pop-and-requeue pass over the whole backlog.
+        let ready: Vec<Deferred> = {
+            let mut queue = self.queue.lock().unwrap();
+            let mut ready = Vec::new();
+            while let Some((epoch, _)) = queue.front() {
+                if *epoch >= limit {
+                    break;
                 }
-                _ => break,
+                let (_, d) = queue.pop_front().expect("front was Some");
+                ready.push(d);
             }
-        }
-        if !ready.is_empty() {
-            IN_FLIGHT.fetch_add(ready.len(), Ordering::SeqCst); // ord: SC in-flight accounting; pairs with flush drain
-        }
-        ready
-    };
-    let ran = ready.len();
-    for d in ready {
-        RUNNING_CLOSURES.with(|c| c.set(c.get() + 1));
-        // A panicking closure must not strand the counters (the queue
-        // is process-global state shared with every other test in the
-        // binary); restore them even on unwind.
-        struct InFlightGuard;
-        impl Drop for InFlightGuard {
-            fn drop(&mut self) {
-                RUNNING_CLOSURES.with(|c| c.set(c.get() - 1));
-                IN_FLIGHT.fetch_sub(1, Ordering::SeqCst); // ord: SC in-flight accounting; pairs with flush drain
+            if !ready.is_empty() {
+                self.in_flight.fetch_add(ready.len(), Ordering::SeqCst); // ord: SC in-flight accounting; pairs with flush drain
             }
+            ready
+        };
+        let ran = ready.len();
+        for d in ready {
+            RUNNING_CLOSURES.with(|c| c.set(c.get() + 1));
+            // A panicking closure must not strand the counters (the
+            // collector may be shared with every other test in the
+            // binary); restore them even on unwind.
+            struct InFlightGuard<'a>(&'a AtomicUsize);
+            impl Drop for InFlightGuard<'_> {
+                fn drop(&mut self) {
+                    RUNNING_CLOSURES.with(|c| c.set(c.get() - 1));
+                    self.0.fetch_sub(1, Ordering::SeqCst); // ord: SC in-flight accounting; pairs with flush drain
+                }
+            }
+            let _guard = InFlightGuard(&self.in_flight);
+            (d.0)();
         }
-        let _guard = InFlightGuard;
-        (d.0)();
+        ran
     }
-    ran
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
-    /// Mode-robust deterministic drain: in background mode (the whole
-    /// suite may run under `LLX_EPOCH_BG=1`) re-defers can land in the
-    /// reclaimer's bag, which only its own cycle seals — quiesce on it
-    /// between flushes (no-op in inline mode).
-    fn drain() {
+    /// Deterministic drain: each flush pins at a fresh epoch, so a few
+    /// rounds run everything deferred before the call, re-defers
+    /// included.
+    fn drain(handle: &LocalHandle) {
         for _ in 0..16 {
-            pin().flush();
-            reclaimer_quiesce();
+            handle.pin().flush();
         }
+    }
+
+    fn counter() -> Arc<AtomicUsize> {
+        Arc::new(AtomicUsize::new(0))
+    }
+
+    fn ran(counter: &AtomicUsize) -> usize {
+        counter.load(Ordering::SeqCst) // ord: test counter; exactness over speed
+    }
+
+    fn defer_bump(guard: &Guard, counter: &Arc<AtomicUsize>) {
+        let counter = Arc::clone(counter);
+        unsafe { guard.defer_unchecked(move || counter.fetch_add(1, Ordering::SeqCst)) };
+        // ord: test counter; exactness over speed
     }
 
     #[test]
     fn deferred_runs_after_unpin_and_flush() {
-        let ran = Arc::new(AtomicUsize::new(0));
+        let handle = Collector::new().register();
+        let count = counter();
         {
-            let guard = pin();
-            let ran2 = Arc::clone(&ran);
-            unsafe { guard.defer_unchecked(move || ran2.fetch_add(1, Ordering::SeqCst)) }; // ord: test counter; exactness over speed
-                                                                                           // Still pinned: a flush now must not run it.
+            let guard = handle.pin();
+            defer_bump(&guard, &count);
+            // Still pinned: a flush now must not run it.
             guard.flush();
-            assert_eq!(ran.load(Ordering::SeqCst), 0); // ord: test counter; exactness over speed
+            assert_eq!(ran(&count), 0);
         }
-        drain();
-        assert_eq!(ran.load(Ordering::SeqCst), 1); // ord: test counter; exactness over speed
+        drain(&handle);
+        assert_eq!(ran(&count), 1);
     }
 
     #[test]
     fn pinned_peer_blocks_collection() {
-        let ran = Arc::new(AtomicUsize::new(0));
-        let hold = Arc::new(std::sync::Barrier::new(2));
-        let release = Arc::new(std::sync::Barrier::new(2));
+        let collector = Collector::new();
+        let handle = collector.register();
+        let count = counter();
+        let hold = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let peer = {
+            let collector = collector.clone();
+            let hold = Arc::clone(&hold);
+            let release = Arc::clone(&release);
+            std::thread::spawn(move || {
+                let _guard = collector.register().pin();
+                hold.wait();
+                release.wait();
+            })
+        };
+        hold.wait(); // peer is pinned now
+        defer_bump(&handle.pin(), &count);
+        drain(&handle);
+        assert_eq!(ran(&count), 0, "peer still pinned");
+        release.wait();
+        peer.join().unwrap();
+        drain(&handle);
+        assert_eq!(ran(&count), 1);
+    }
+
+    /// The reverse isolation: a peer pinned on the default collector
+    /// (or on any other) holds back nothing an owned collector queued.
+    #[test]
+    fn default_pin_does_not_block_an_owned_collector() {
+        let hold = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
         let peer = {
             let hold = Arc::clone(&hold);
             let release = Arc::clone(&release);
@@ -644,104 +511,115 @@ mod tests {
                 release.wait();
             })
         };
-        hold.wait(); // peer is pinned now
-        {
-            let guard = pin();
-            let ran2 = Arc::clone(&ran);
-            unsafe { guard.defer_unchecked(move || ran2.fetch_add(1, Ordering::SeqCst)) };
-            // ord: test counter; exactness over speed
-        }
-        drain();
-        assert_eq!(ran.load(Ordering::SeqCst), 0, "peer still pinned"); // ord: test counter; exactness over speed
+        hold.wait(); // peer is pinned on the default collector now
+        let handle = Collector::new().register();
+        let count = counter();
+        defer_bump(&handle.pin(), &count);
+        drain(&handle);
+        assert_eq!(ran(&count), 1, "a default-collector pin blocked it");
         release.wait();
         peer.join().unwrap();
-        drain();
-        assert_eq!(ran.load(Ordering::SeqCst), 1); // ord: test counter; exactness over speed
     }
 
     #[test]
     fn deferring_from_a_deferred_closure_works() {
-        let ran = Arc::new(AtomicUsize::new(0));
+        let handle = Collector::new().register();
+        let count = counter();
         {
-            let guard = pin();
-            let ran2 = Arc::clone(&ran);
-            unsafe {
-                guard.defer_unchecked(move || {
-                    let inner = pin();
-                    let ran3 = Arc::clone(&ran2);
-                    inner.defer_unchecked(move || ran3.fetch_add(1, Ordering::SeqCst));
-                    // ord: test counter; exactness over speed
-                })
-            };
+            let (outer, count) = (&handle, Arc::clone(&count));
+            let guard = handle.pin();
+            // Runs on this thread inside a later flush, re-entering the
+            // handle that is pinned for that flush.
+            unsafe { guard.defer_unchecked(move || defer_bump(&outer.pin(), &count)) };
         }
-        drain();
-        assert_eq!(ran.load(Ordering::SeqCst), 1); // ord: test counter; exactness over speed
+        drain(&handle);
+        assert_eq!(ran(&count), 1);
     }
 
     #[test]
     fn reentrant_pin_counts() {
-        let a = pin();
-        let b = pin();
+        let handle = Collector::new().register();
+        let a = handle.pin();
+        let b = handle.pin();
         drop(a);
         // Still pinned through b.
-        let ran = Arc::new(AtomicUsize::new(0));
-        let ran2 = Arc::clone(&ran);
-        unsafe { b.defer_unchecked(move || ran2.fetch_add(1, Ordering::SeqCst)) }; // ord: test counter; exactness over speed
+        let count = counter();
+        defer_bump(&b, &count);
         b.flush();
-        assert_eq!(ran.load(Ordering::SeqCst), 0); // ord: test counter; exactness over speed
+        assert_eq!(ran(&count), 0);
         drop(b);
-        drain();
-        assert_eq!(ran.load(Ordering::SeqCst), 1); // ord: test counter; exactness over speed
+        drain(&handle);
+        assert_eq!(ran(&count), 1);
     }
 
+    /// The amortized collection inside `pin` must reclaim deferred
+    /// objects even when nobody ever calls `flush` — the product crates
+    /// only pin and defer — and a multi-thread churn soak loses none.
     #[test]
     fn pin_only_loop_reclaims_without_flush() {
-        // The amortized collection inside pin() must reclaim deferred
-        // objects even when nobody ever calls flush() — the product
-        // crates only pin and defer.
-        let ran = Arc::new(AtomicUsize::new(0));
-        const N: usize = 1000;
-        for _ in 0..N {
-            let guard = pin();
-            let ran2 = Arc::clone(&ran);
-            unsafe { guard.defer_unchecked(move || ran2.fetch_add(1, Ordering::SeqCst)) };
-            // ord: test counter; exactness over speed
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 250;
+        let collector = Collector::new();
+        let count = counter();
+        let workers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let collector = collector.clone();
+                let count = Arc::clone(&count);
+                std::thread::spawn(move || {
+                    let handle = collector.register();
+                    for i in 0..PER_THREAD {
+                        defer_bump(&handle.pin(), &count);
+                        if i % 7 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
         }
-        // Loop some more pins with no defers so collection ticks fire.
-        // In background mode the ticks only *nudge* the reclaimer, so
-        // give the asynchronous drain a bounded grace period (inline
-        // mode passes on the first check).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            for _ in 0..(COLLECT_EVERY as usize * 4) {
-                let _ = pin();
-            }
-            let reclaimed = ran.load(Ordering::SeqCst); // ord: test counter; exactness over speed
-            if reclaimed >= N / 2 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "amortized collection reclaimed only {reclaimed}/{N}"
-            );
-            std::thread::yield_now();
+        // The workers' exits sealed their bags; with nobody pinned, the
+        // next amortized tick runs every tag older than the epoch it
+        // installs, which is all of them — each exactly once.
+        let handle = collector.register();
+        for _ in 0..COLLECT_EVERY {
+            drop(handle.pin());
         }
+        assert_eq!(ran(&count), THREADS * PER_THREAD);
     }
 
     #[test]
     fn thread_exit_hands_bag_to_global() {
-        let ran = Arc::new(AtomicUsize::new(0));
-        let ran2 = Arc::clone(&ran);
-        std::thread::spawn(move || {
-            let guard = pin();
-            // Fewer than BAG_FLUSH items: they stay in the local bag
-            // until the thread exits.
-            unsafe { guard.defer_unchecked(move || ran2.fetch_add(1, Ordering::SeqCst)) };
-            // ord: test counter; exactness over speed
-        })
-        .join()
-        .unwrap();
-        drain();
-        assert_eq!(ran.load(Ordering::SeqCst), 1); // ord: test counter; exactness over speed
+        let collector = Collector::new();
+        let count = counter();
+        {
+            let collector = collector.clone();
+            let count = Arc::clone(&count);
+            std::thread::spawn(move || {
+                let handle = collector.register();
+                // Fewer than BAG_FLUSH items: they stay in the local
+                // bag until the handle drops at thread exit.
+                defer_bump(&handle.pin(), &count);
+            })
+            .join()
+            .unwrap();
+        }
+        drain(&collector.register());
+        assert_eq!(ran(&count), 1);
+    }
+
+    /// A guard keeps its registration alive past its handle (the
+    /// thread-teardown shape): unpinning still works, and the bag is
+    /// handed over when the guard goes.
+    #[test]
+    fn guard_outlives_its_handle() {
+        let collector = Collector::new();
+        let count = counter();
+        let guard = collector.register().pin();
+        defer_bump(&guard, &count);
+        drop(guard);
+        drain(&collector.register());
+        assert_eq!(ran(&count), 1);
     }
 }

@@ -1,23 +1,18 @@
-//! Budgeted-collection mode, in its own process: the budget knob is
-//! process-global, so these tests must not share a binary with the
-//! default-mode unit tests. Tests serialize on a mutex — they all
-//! manipulate the one global queue and epoch.
+//! Multi-thread churn soak on the default collector, through the free
+//! `pin()` / `queued_reclaims()` functions the product crates use.
+//!
+//! The collector once took a per-tick collection budget, and this soak
+//! ran at the smallest one; the budget is gone (every tick runs all
+//! ready closures), but the property it guarded remains: heavy churn
+//! loses no deferred closure, amortized ticks alone make progress, and a
+//! flush drain reaches exactly-once completion with the queue empty.
+//! It is the only test in this binary, so nothing else touches the
+//! default collector while it counts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crossbeam_epoch::{pin, queued_reclaims, set_collect_budget};
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// These tests reason about *inline* budgeted ticks; under an
-/// env-forced `LLX_EPOCH_BG=1` (the CI bg-reclaim leg runs the whole
-/// workspace that way) ticks only nudge the reclaimer and the
-/// per-tick assertions are meaningless — background semantics have
-/// their own test binary (`tests/background.rs`).
-fn inline_mode() -> bool {
-    !crossbeam_epoch::background_active()
-}
+use crossbeam_epoch::{pin, queued_reclaims};
 
 fn drain() {
     for _ in 0..16 {
@@ -25,99 +20,10 @@ fn drain() {
     }
 }
 
-fn counter() -> Arc<AtomicUsize> {
-    Arc::new(AtomicUsize::new(0))
-}
-
-fn defer_bump(guard: &crossbeam_epoch::Guard, ran: &Arc<AtomicUsize>) {
-    let ran = Arc::clone(ran);
-    unsafe { guard.defer_unchecked(move || ran.fetch_add(1, Ordering::SeqCst)) };
-}
-
-/// One amortized tick runs at most the budgeted number of closures;
-/// the remainder stays queued and later ticks finish the job.
-#[test]
-fn budgeted_tick_leaves_the_remainder_queued() {
-    if !inline_mode() {
-        return;
-    }
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    drain();
-    set_collect_budget(4);
-    let ran = counter();
-    // A fresh thread has a deterministic tick phase (total_pins starts
-    // at 0: the collection tick fires on its 64th outermost pin).
-    let ran2 = Arc::clone(&ran);
-    std::thread::spawn(move || {
-        {
-            let guard = pin(); // pin #1
-            for _ in 0..65 {
-                // Bag seals into the global queue at 64 items.
-                defer_bump(&guard, &ran2);
-            }
-        }
-        for _ in 0..62 {
-            let _ = pin(); // pins #2..=#63: no tick, nothing runs
-        }
-        assert_eq!(ran2.load(Ordering::SeqCst), 0, "no tick yet");
-        let _ = pin(); // pin #64: the tick — runs exactly the budget
-        assert_eq!(ran2.load(Ordering::SeqCst), 4, "budget caps the tick");
-        assert!(
-            queued_reclaims() >= 61,
-            "remainder must stay queued, found {}",
-            queued_reclaims()
-        );
-        // Later ticks drain the rest, budget-sized bites at a time.
-        for _ in 0..64 * 32 {
-            let _ = pin();
-        }
-        assert_eq!(ran2.load(Ordering::SeqCst), 65, "ticks finish the queue");
-    })
-    .join()
-    .unwrap();
-    set_collect_budget(0);
-    drain();
-}
-
-/// `flush` ignores the budget: after one flush to leave the pinned
-/// epoch behind, a single further flush runs everything at once.
-#[test]
-fn flush_ignores_the_budget() {
-    if !inline_mode() {
-        return;
-    }
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    drain();
-    set_collect_budget(1);
-    let ran = counter();
-    {
-        let guard = pin();
-        for _ in 0..50 {
-            defer_bump(&guard, &ran);
-        }
-    }
-    // First flush: we pin at the tag epoch, so nothing may run yet.
-    pin().flush();
-    // Second flush pins past the tags; an unbudgeted collect runs all
-    // 50 in this one call — a budget-respecting flush would run 1.
-    pin().flush();
-    assert_eq!(ran.load(Ordering::SeqCst), 50, "flush must not be budgeted");
-    set_collect_budget(0);
-    drain();
-}
-
-/// budget=1 soak: heavy multi-thread churn with the smallest possible
-/// budget loses nothing — every deferred closure still runs exactly
-/// once and the queue drains to empty.
 #[test]
 fn budget_of_one_loses_no_defers_under_churn() {
-    if !inline_mode() {
-        return;
-    }
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     drain();
-    set_collect_budget(1);
-    let ran = counter();
+    let ran = Arc::new(AtomicUsize::new(0));
     const THREADS: usize = 4;
     const PER_THREAD: usize = 200;
     let handles: Vec<_> = (0..THREADS)
@@ -126,7 +32,8 @@ fn budget_of_one_loses_no_defers_under_churn() {
             std::thread::spawn(move || {
                 for i in 0..PER_THREAD {
                     let guard = pin();
-                    defer_bump(&guard, &ran);
+                    let ran = Arc::clone(&ran);
+                    unsafe { guard.defer_unchecked(move || ran.fetch_add(1, Ordering::SeqCst)) };
                     drop(guard);
                     if i % 7 == 0 {
                         std::thread::yield_now();
@@ -138,18 +45,17 @@ fn budget_of_one_loses_no_defers_under_churn() {
     for h in handles {
         h.join().unwrap();
     }
-    // Amortized ticks alone (budget 1 per tick) must make progress…
+    // Amortized ticks alone must make progress…
     let before = ran.load(Ordering::SeqCst);
     for _ in 0..64 * 8 {
         let _ = pin();
     }
     assert!(
         ran.load(Ordering::SeqCst) > before,
-        "budgeted ticks made no progress"
+        "amortized ticks made no progress"
     );
     // …and a flush drain reaches exactly-once completion.
     drain();
     assert_eq!(ran.load(Ordering::SeqCst), THREADS * PER_THREAD);
     assert_eq!(queued_reclaims(), 0, "queue drains to empty");
-    set_collect_budget(0);
 }

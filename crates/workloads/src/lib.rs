@@ -264,10 +264,7 @@ pub fn prefill_keys(n: u64) -> impl Iterator<Item = u64> {
 /// | `LLX_BENCH_JSON` | `bench-harness` | path to also write every experiment table + pool counters as JSON (same as `--json PATH`); machine-readable cross-PR benchmark trail |
 /// | `LLX_SCX_POOL` | `llx-scx` reclamation | `0`/`off`/`false` disables the SCX-record pool (per-record defers; A/B benchmarking) |
 /// | `LLX_SCX_POOL_CAP` | `llx-scx` reclamation | per-thread free-list capacity of the SCX-record pool (default 256) |
-/// | `LLX_SCX_HANDOFF` | `llx-scx` reclamation | `0`/`off`/`false` disables the cross-thread shard handoff (free-list overflow returns to the allocator instead of feeding other threads; A/B benchmarking) |
 /// | `LLX_SCX_SHARD` | `llx-scx` reclamation | blocks per handoff shard — the unit in which overflow blocks publish and allocating threads steal (default 16) |
-/// | `LLX_EPOCH_BUDGET` | `crossbeam-epoch` shim (and the `bench-harness lat` budgeted column, default 32 there) | max deferred closures run per amortized collection tick inside `pin()`; `0` (default) = unbounded. `Guard::flush` is never budgeted |
-/// | `LLX_EPOCH_BG` | `crossbeam-epoch` shim | `1`/`on`/`true` moves amortized collection to a dedicated background reclaimer thread — mutators never run deferred closures from `pin()`. Sticky for the process; `flush` still drains inline deterministically |
 /// | `LLX_MODEL_BOUND` | `tests/model.rs` under `--cfg llx_model` (ci.sh `model` stage) | preemption bound of the deterministic schedule explorer: max voluntary context switches the DFS may inject per execution (default 2; forced switches at blocking/termination are free). The full `./ci.sh` run exports `1` for speed; the regression scenarios pin `>= 2` themselves |
 /// | `LLX_MODEL_STEPS` | `tests/model.rs` under `--cfg llx_model` | per-execution scheduling-step cap before a schedule is abandoned as a suspected livelock (default 20000); abandoned schedules are reported and make the run non-exhaustive |
 /// | `LLX_MODEL_SCHEDULES` | `tests/model.rs` under `--cfg llx_model` | max schedules explored per scenario; `0` (default) = exhaustive up to the bound |

@@ -190,9 +190,21 @@ fn sharded_combinations_balance_under_stress() {
 #[test]
 fn scx_record_pool_drains_after_generic_stress() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // Clean baseline: adopt any residue from other tests' threads.
-    llx_scx::flush_reclamation();
-    let baseline = llx_scx::live_scx_records();
+    // Clean baseline: adopt any residue from other tests' threads. A
+    // finished test's thread may still be running its thread-local
+    // destructors (parking its partial retirement batch on the orphan
+    // list) after the mutex is released, so drain until the count holds
+    // still across a short pause.
+    let mut baseline = None;
+    for _ in 0..100 {
+        llx_scx::flush_reclamation();
+        let now = llx_scx::live_scx_records();
+        if now == baseline {
+            break;
+        }
+        baseline = now;
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let scx_structures = ["scx-multiset", "chromatic", "bst", "patricia"];
     for spec in conc_set::selected_specs() {
         // Base-name match so `sharded(patricia,4)` also takes this leg:
